@@ -55,6 +55,17 @@ def require(cfg: dict, key: str, typ=None):
     return val
 
 
+def optional(cfg: dict, key: str, typ, default):
+    """Like `require`, but an absent key gives `default`."""
+    return require(cfg, key, typ) if key in cfg else default
+
+
+def positive(val, key: str):
+    if not val > 0:
+        raise ConfigError(f"config key {key!r} must be positive")
+    return val
+
+
 def grid_from_config(spec: dict) -> macro.GridSpec:
     return macro.GridSpec(require(spec, "r_min", (int, float)),
                           require(spec, "r_max", (int, float)),
@@ -63,7 +74,7 @@ def grid_from_config(spec: dict) -> macro.GridSpec:
 
 def profile_from_config(cfg: dict) -> macro.ProfilePair:
     """Build the initial datum; defaults to the overlapping tents."""
-    spec = cfg.get("profile")
+    spec = optional(cfg, "profile", dict, None)
     if spec is None:
         return macro.tent_pair()
     grid = grid_from_config(require(spec, "grid", dict))
@@ -146,15 +157,15 @@ def cmd_simulate(args, cfg: dict, out: Path) -> int:
 def cmd_couple_verify(args, cfg: dict, out: Path) -> int:
     report: dict = {}
     ok = True
-    enum_cfg = cfg.get("exhaustive")
+    enum_cfg = optional(cfg, "exhaustive", dict, None)
     if enum_cfg is not None:
         rep = coupling.exhaustive_balance_check(
-            max_particles=enum_cfg.get("max_particles", 4),
-            n_sites=enum_cfg.get("n_sites", 4),
-            max_marks=enum_cfg.get("max_marks", 3))
+            max_particles=optional(enum_cfg, "max_particles", int, 4),
+            n_sites=optional(enum_cfg, "n_sites", int, 4),
+            max_marks=optional(enum_cfg, "max_marks", int, 3))
         report["exhaustive"] = vars(rep)
         ok = ok and rep.ok
-    sand_cfg = cfg.get("sandwich")
+    sand_cfg = optional(cfg, "sandwich", dict, None)
     if sand_cfg is not None:
         scfg = sim_config(sand_cfg)
         profile = profile_from_config(sand_cfg)
@@ -171,7 +182,7 @@ def cmd_couple_verify(args, cfg: dict, out: Path) -> int:
 
 def cmd_barriers(args, cfg: dict, out: Path) -> int:
     kappa = require(cfg, "kappa", (int, float))
-    delta = require(cfg, "delta", (int, float))
+    delta = positive(require(cfg, "delta", (int, float)), "delta")
     T = require(cfg, "horizon_T", (int, float))
     p0 = profile_from_config(cfg)
     n = int(round(T / delta))
@@ -194,26 +205,28 @@ def cmd_barriers(args, cfg: dict, out: Path) -> int:
 
 def cmd_fbp(args, cfg: dict, out: Path) -> int:
     kappa = require(cfg, "kappa", (int, float))
-    delta = require(cfg, "delta", (int, float))
+    delta = positive(require(cfg, "delta", (int, float)), "delta")
     T = require(cfg, "horizon_T", (int, float))
     p0 = profile_from_config(cfg)
     sol = fbp.solve_reference(p0, kappa, T, delta,
-                              both_variants=cfg.get("both_variants", True))
+                              both_variants=optional(cfg, "both_variants",
+                                                     bool, True))
     fbp.boundaries_to_csv(sol.boundaries, out / "boundaries.csv")
     macro.profile_to_csv(sol.minus[-1], out / "final_minus.csv")
     fbp.solution_summary_json(sol, out / "summary.json")
     report = {"summary": fbp.solution_summary(sol)}
     ok = not sol.annihilated
-    mc_cfg = cfg.get("mc")
+    mc_cfg = optional(cfg, "mc", dict, None)
     if mc_cfg is not None:
         rng = np.random.default_rng(
-            np.random.SeedSequence(mc_cfg.get("seed", 0)))
-        z_max = mc_cfg.get("z_max", 4.0)
+            np.random.SeedSequence(optional(mc_cfg, "seed", int, 0)))
+        z_max = optional(mc_cfg, "z_max", (int, float), 4.0)
+        t = require(mc_cfg, "t", (int, float))
+        n_paths = positive(require(mc_cfg, "n_paths", int), "n_paths")
+        dt = positive(optional(mc_cfg, "dt", (int, float), 1e-4), "dt")
         checks = []
         for side in ("u", "v"):
-            mc = fbp.mc_validate(sol, require(mc_cfg, "t", (int, float)),
-                                 require(mc_cfg, "n_paths", int), rng,
-                                 side=side, dt=mc_cfg.get("dt", 1e-4))
+            mc = fbp.mc_validate(sol, t, n_paths, rng, side=side, dt=dt)
             checks.append(mc.to_dict())
             ok = ok and mc.max_abs_z <= z_max and abs(mc.mass.z) <= 3.0
         report["mc"] = checks
@@ -224,8 +237,12 @@ def cmd_fbp(args, cfg: dict, out: Path) -> int:
 def cmd_hydro_compare(args, cfg: dict, out: Path) -> int:
     scfg = sim_config(cfg)
     profile = profile_from_config(cfg)
-    t_eval = cfg.get("t_eval", scfg.horizon_T)
-    delta_ref = cfg.get("delta_ref", 0.01)
+    t_eval = optional(cfg, "t_eval", (int, float), scfg.horizon_T)
+    if t_eval > scfg.horizon_T:
+        raise ConfigError(f"t_eval {t_eval} exceeds horizon_T {scfg.horizon_T}: "
+                          "the clock rings only up to horizon_T")
+    delta_ref = positive(optional(cfg, "delta_ref", (int, float), 0.01),
+                         "delta_ref")
     sol = fbp.solve_reference(profile, scfg.kappa, t_eval, delta_ref)
     ref = sol.profile_at(t_eval)
     rs = ref.grid.nodes()
@@ -252,7 +269,7 @@ def cmd_hydro_compare(args, cfg: dict, out: Path) -> int:
     devs = np.array([max(r["sup_dev_u"], r["sup_dev_v"]) for r in rows])
     mean = float(devs.mean())
     se = float(devs.std(ddof=1) / np.sqrt(len(devs))) if len(devs) > 1 else 0.0
-    threshold = cfg.get("threshold")
+    threshold = optional(cfg, "threshold", (int, float), None)
     ok = threshold is None or mean <= threshold
     write_report(out, {
         "t_eval": t_eval,

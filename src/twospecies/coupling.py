@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import auxiliary
-from .lattice import (A, B, LEFT, RIGHT, EventLog, ParticleState,
-                      PositionRealization, SimConfig, in_X, occupation,
-                      run_true, sample_clock, sample_initial)
+from .lattice import (A, B, LEFT, RIGHT, EventLog, PositionRealization,
+                      SimConfig, in_X, rank_select, run_true, sample_clock,
+                      sample_initial, site_counts)
 from .macro import ProfilePair
 
 
@@ -101,15 +100,6 @@ def check_splitting(spl: Splitting, cs: CoupledState) -> None:
 
 # ---------------------------------------------------------------------------
 # tail-mass order on site counts
-
-
-def site_counts(positions: np.ndarray, colors: np.ndarray, color: str = A
-                ) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for x, c in zip(positions, colors):
-        if c == color:
-            out[int(x)] = out.get(int(x), 0) + 1
-    return out
 
 
 def dominates(xi_prime: dict[int, int], xi: dict[int, int]) -> bool:
@@ -230,27 +220,7 @@ def dissolve_collisions(spl: Splitting, cs: CoupledState,
 
 
 # ---------------------------------------------------------------------------
-# rank selection on one copy
-
-
-def _rightmost_a(cs: CoupledState, colors: np.ndarray) -> int | None:
-    best = None
-    for i in range(cs.M):
-        if colors[i] != A:
-            continue
-        if best is None or (cs.positions[i], i) > (cs.positions[best], best):
-            best = i
-    return None if best is None else best + 1
-
-
-def _leftmost_b(cs: CoupledState, colors: np.ndarray) -> int | None:
-    best = None
-    for i in range(cs.M):
-        if colors[i] != B:
-            continue
-        if best is None or (cs.positions[i], -i) < (cs.positions[best], -best):
-            best = i
-    return None if best is None else best + 1
+# pair lookup
 
 
 def _pair_with_first(spl: Splitting, lab: int) -> tuple[int, int] | None:
@@ -271,13 +241,23 @@ def _pair_with_second(spl: Splitting, lab: int) -> tuple[int, int] | None:
 # C-maps.  Each applies the flip to its copy and updates the splitting.
 
 
+def _select(positions: np.ndarray, colors: np.ndarray, mark: str, copy: int
+            ) -> int:
+    """The label a flip recolors in one copy; the species must be present."""
+    if mark not in (RIGHT, LEFT):
+        raise CouplingError(f"unknown mark {mark!r}")
+    lab = rank_select(positions, colors, mark)
+    if lab is None:
+        raise CouplingError(f"{mark} flip with no {A if mark == RIGHT else B}"
+                            f"-particle in copy {copy}")
+    return lab
+
+
 def apply_C1(spl: Splitting, cs: CoupledState, mark: str) -> Splitting:
     """Flip on copy 1 (may create a discrepancy)."""
+    lab = _select(cs.positions, cs.sigma, mark, 1)
     out = spl.copy()
     if mark == RIGHT:
-        lab = _rightmost_a(cs, cs.sigma)
-        if lab is None:
-            raise CouplingError("right flip with no a-particle in copy 1")
         cs.sigma[lab - 1] = B
         pr = _pair_with_first(out, lab)
         if pr is not None:                       # case (a): lab leaves its pair
@@ -292,10 +272,7 @@ def apply_C1(spl: Splitting, cs: CoupledState, mark: str) -> Splitting:
             out.singles[lab] = B
         else:
             raise SplittingFault(f"no C1-right case matches label {lab}")
-    elif mark == LEFT:
-        lab = _leftmost_b(cs, cs.sigma)
-        if lab is None:
-            raise CouplingError("left flip with no b-particle in copy 1")
+    else:
         cs.sigma[lab - 1] = A
         pr = _pair_with_second(out, lab)
         if pr is not None:                       # case (a)
@@ -310,8 +287,6 @@ def apply_C1(spl: Splitting, cs: CoupledState, mark: str) -> Splitting:
             out.singles[lab] = A
         else:
             raise SplittingFault(f"no C1-left case matches label {lab}")
-    else:
-        raise CouplingError(f"unknown mark {mark!r}")
     return out
 
 
@@ -324,11 +299,9 @@ def apply_C2(spl: Splitting, cs: CoupledState, mark: str,
     chosen by `exchange_copy`; the discrepancy counts change exactly as in
     the tabled case.
     """
+    lab = _select(cs.positions, cs.sigma_prime, mark, 2)
     out = spl.copy()
     if mark == RIGHT:
-        lab = _rightmost_a(cs, cs.sigma_prime)
-        if lab is None:
-            raise CouplingError("right flip with no a-particle in copy 2")
         cs.sigma_prime[lab - 1] = B
         pr = _pair_with_second(out, lab)
         if pr is not None:                       # case (a)
@@ -363,10 +336,7 @@ def apply_C2(spl: Splitting, cs: CoupledState, mark: str,
             out.singles[lab] = B
         else:
             raise SplittingFault(f"no C2-right case matches label {lab}")
-    elif mark == LEFT:
-        lab = _leftmost_b(cs, cs.sigma_prime)
-        if lab is None:
-            raise CouplingError("left flip with no b-particle in copy 2")
+    else:
         cs.sigma_prime[lab - 1] = A
         pr = _pair_with_first(out, lab)
         if pr is not None:                       # case (a)
@@ -401,8 +371,6 @@ def apply_C2(spl: Splitting, cs: CoupledState, mark: str,
             out.singles[lab] = A
         else:
             raise SplittingFault(f"no C2-left case matches label {lab}")
-    else:
-        raise CouplingError(f"unknown mark {mark!r}")
     return out
 
 

@@ -7,7 +7,7 @@ mirror image.  The solver reuses the deterministic barrier iterations at a
 fine time step; the bracket between the lower and upper variants bounds the
 scheme error.  Monte Carlo validation checks the probabilistic
 representation of u (absorbed Brownian paths plus a boundary source) and the
-global absorbed-mass identity.
+global absorbed-mass identity, both from one set of simulated paths.
 """
 from __future__ import annotations
 
@@ -233,8 +233,7 @@ def refined_boundary_curves(sol: FbpSolution) -> BoundaryCurves:
     V = np.empty_like(bd.V)
     for k, p in enumerate(sol.minus):
         U[k] = _extrapolated_right_zero(p.u, p.grid, bd.U[k])
-        mg = GridSpec(-p.grid.r_max, -p.grid.r_min, p.grid.n_cells)
-        V[k] = -_extrapolated_right_zero(p.v[::-1], mg, -bd.V[k])
+        V[k] = -_extrapolated_right_zero(p.v[::-1], p.grid.mirrored(), -bd.V[k])
     return BoundaryCurves(bd.times.copy(), U, V)
 
 
@@ -367,8 +366,7 @@ def _side_data(sol: FbpSolution, side: str):
         source = lambda ts: bd.V_at(ts)
         flip = 1.0
     elif side == "v":
-        f0, grid0 = p0.v[::-1].copy(), GridSpec(-p0.grid.r_max, -p0.grid.r_min,
-                                                p0.grid.n_cells)
+        f0, grid0 = p0.v[::-1].copy(), p0.grid.mirrored()
         upper = lambda ts: -bd.V_at(ts)
         source = lambda ts: -bd.U_at(ts)
         flip = -1.0
@@ -399,9 +397,7 @@ def mc_validate(sol: FbpSolution, t: float, n_paths: int,
     # equal reference mass so no bin is starved of paths
     ref = sol.profile_at(t)
     f_ref = ref.u if side == "u" else ref.v[::-1]
-    grid_ref = ref.grid if side == "u" else GridSpec(-ref.grid.r_max,
-                                                    -ref.grid.r_min,
-                                                    ref.grid.n_cells)
+    grid_ref = ref.grid if side == "u" else ref.grid.mirrored()
     peak = float(np.max(f_ref))
     supp = np.nonzero(f_ref > 1e-6 * peak)[0]
     r_lo = float(grid_ref.nodes()[supp[0]])
@@ -440,27 +436,6 @@ def mc_validate(sol: FbpSolution, t: float, n_paths: int,
     mass = MassIdentityCheck(t, kappa_t, est_mass,
                              math.sqrt(max(var_mass, 1e-300)))
     return McReport(side, t, intervals, mass)
-
-
-def mass_identity_check(sol: FbpSolution, t: float, n_paths: int,
-                        rng: np.random.Generator, side: str = "u",
-                        dt: float = 1e-4) -> MassIdentityCheck:
-    """Absorbed mass from both path families should equal kappa*t."""
-    f0, grid0, upper, source, _ = _side_data(sol, side)
-    mass0 = float(node_weights(grid0) @ f0)
-    kappa_t = sol.kappa * t
-    n0 = n_paths
-    ns = max(n_paths // 2, 1)
-    x0 = _sample_from_density(f0, grid0, n0, rng)
-    _, ab0 = simulate_absorbed(x0, np.zeros(n0), t, upper, dt, rng)
-    s = t * rng.random(ns)
-    _, abs_ = simulate_absorbed(source(s), s, t, upper, dt, rng)
-    pa0 = float(np.mean(ab0))
-    pas = float(np.mean(abs_))
-    est = mass0 * pa0 + kappa_t * pas
-    var = (mass0**2 * pa0 * (1 - pa0) / n0
-           + kappa_t**2 * pas * (1 - pas) / ns)
-    return MassIdentityCheck(t, kappa_t, est, math.sqrt(max(var, 1e-300)))
 
 
 # ---------------------------------------------------------------------------

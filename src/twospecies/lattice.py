@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import csv
 import warnings
-from collections import Counter
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Mapping
 
 import numpy as np
 
@@ -239,12 +238,6 @@ class PositionRealization:
             out[i] = self.paths[i][k]
         return out
 
-    def all_jump_events(self) -> list[tuple[float, int]]:
-        """All (time, particle index) jump events, time ordered."""
-        ev = [(float(t), i) for i in range(self.M) for t in self.jump_times[i]]
-        ev.sort()
-        return ev
-
 
 def evolve_positions(ps: ParticleState, t0: float, t1: float,
                      rng: np.random.Generator, walk_rate: float = 1.0) -> ParticleState:
@@ -269,41 +262,39 @@ def evolve_positions(ps: ParticleState, t0: float, t1: float,
 # rank selection and color flips
 
 
+def rank_select(positions: np.ndarray, colors: np.ndarray, mark: str) -> int | None:
+    """Label (1-based) of the particle a `mark` ring recolors: the rightmost
+    a-particle for 'right', the leftmost b-particle for 'left'.  Ties go to
+    the largest label; None if that species is absent."""
+    if mark == RIGHT:
+        color, sign = A, 1
+    elif mark == LEFT:
+        color, sign = B, -1
+    else:
+        raise SimulationError(f"unknown mark {mark!r}")
+    best = None
+    for i, (x, c) in enumerate(zip(positions.tolist(), colors.tolist())):
+        if c == color and (best is None or (sign * x, i) > best):
+            best = (sign * x, i)
+    return None if best is None else best[1] + 1
+
+
 def rightmost_a(ps: ParticleState) -> int | None:
     """Label of the rightmost a-particle (largest label among ties), 1-based."""
-    best = None
-    for i in range(ps.M):
-        if ps.colors[i] != A:
-            continue
-        if best is None or (ps.positions[i], i) > (ps.positions[best], best):
-            best = i
-    return None if best is None else best + 1
+    return rank_select(ps.positions, ps.colors, RIGHT)
 
 
 def leftmost_b(ps: ParticleState) -> int | None:
     """Label of the leftmost b-particle (largest label among ties), 1-based."""
-    best = None
-    for i in range(ps.M):
-        if ps.colors[i] != B:
-            continue
-        if best is None or (ps.positions[i], -i) < (ps.positions[best], -best):
-            best = i
-    return None if best is None else best + 1
+    return rank_select(ps.positions, ps.colors, LEFT)
 
 
 def apply_H(ps: ParticleState, mark: str) -> ParticleState:
     """Flip the rank-selected particle's color; no-op if the species is absent."""
+    lab = rank_select(ps.positions, ps.colors, mark)
     out = ps.copy()
-    if mark == RIGHT:
-        lab = rightmost_a(ps)
-        if lab is not None:
-            out.colors[lab - 1] = B
-    elif mark == LEFT:
-        lab = leftmost_b(ps)
-        if lab is not None:
-            out.colors[lab - 1] = A
-    else:
-        raise SimulationError(f"unknown mark {mark!r}")
+    if lab is not None:
+        out.colors[lab - 1] = B if mark == RIGHT else A
     return out
 
 
@@ -322,8 +313,9 @@ class TrueTrajectory:
                  realization: PositionRealization, t_end: float):
         if initial.time != 0:
             raise SimulationError("initial state must be at time 0")
-        if len(log) and log.times[-1] > realization.t_end + 1e-9:
-            raise SimulationError("log extends past the stored realization")
+        if t_end > realization.t_end + 1e-9:
+            raise SimulationError(f"t_end {t_end} extends past the stored "
+                                  f"realization (t_end {realization.t_end})")
         self.initial = initial.copy()
         self.log = log
         self.realization = realization
@@ -334,11 +326,11 @@ class TrueTrajectory:
         for s, mark in zip(log.times, log.marks):
             if s > t_end:
                 break
-            state = ParticleState(realization.positions_at(s), colors, time=s)
-            flipped = apply_H(state, mark)
-            if np.array_equal(flipped.colors, colors):
+            lab = rank_select(realization.positions_at(s), colors, mark)
+            if lab is None:
                 self.absent_flip_count += 1
-            colors = flipped.colors
+            else:
+                colors[lab - 1] = B if mark == RIGHT else A
             self._colors_after.append(colors.copy())
 
     def state_at(self, t: float) -> ParticleState:
@@ -366,10 +358,19 @@ def run_true(ps: ParticleState, log: EventLog, t_end: float,
 # occupation bookkeeping
 
 
+def site_counts(positions: np.ndarray, colors: np.ndarray, color: str = A
+                ) -> dict[int, int]:
+    """Number of `color` particles at each occupied site."""
+    out: dict[int, int] = {}
+    for x, c in zip(positions, colors):
+        if c == color:
+            out[int(x)] = out.get(int(x), 0) + 1
+    return out
+
+
 def occupation(ps: ParticleState) -> OccupationPair:
-    xi = Counter(int(x) for x, c in zip(ps.positions, ps.colors) if c == A)
-    eta = Counter(int(x) for x, c in zip(ps.positions, ps.colors) if c == B)
-    return OccupationPair(dict(xi), dict(eta))
+    return OccupationPair(site_counts(ps.positions, ps.colors, A),
+                          site_counts(ps.positions, ps.colors, B))
 
 
 def tail_mass(counts: Mapping[int, int], x: int) -> int:
@@ -431,19 +432,6 @@ def scaled_tail_curve(ps: ParticleState, color: str, rs: np.ndarray, eps: float
 
 # ---------------------------------------------------------------------------
 # CSV export
-
-
-def state_to_csv_rows(ps: ParticleState) -> list[list]:
-    return [[ps.time, i + 1, int(x), c]
-            for i, (x, c) in enumerate(zip(ps.positions, ps.colors))]
-
-
-def write_trajectory_csv(path, states: Sequence[ParticleState]) -> None:
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["time", "label", "position", "color"])
-        for st in states:
-            wr.writerows(state_to_csv_rows(st))
 
 
 def write_occupation_csv(path, occ: OccupationPair) -> None:

@@ -11,10 +11,8 @@ transferred chunk carries exactly the requested mass.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -66,6 +64,10 @@ class GridSpec:
         return GridSpec(self.r_min - n_left * h, self.r_max + n_right * h,
                         self.n_cells + n_left + n_right)
 
+    def mirrored(self) -> "GridSpec":
+        """The grid reflected through r = 0: node j maps to node n_cells - j."""
+        return GridSpec(-self.r_max, -self.r_min, self.n_cells)
+
 
 def node_weights(grid: GridSpec) -> np.ndarray:
     w = np.full(grid.n_nodes, grid.h)
@@ -96,15 +98,6 @@ class ProfilePair:
         if self.mass_v is None:
             self.mass_v = float(w @ self.v)
 
-    def recompute_masses(self) -> tuple[float, float]:
-        w = node_weights(self.grid)
-        return float(w @ self.u), float(w @ self.v)
-
-    def masses_consistent(self, rtol: float = 1e-12) -> bool:
-        mu, mv = self.recompute_masses()
-        scale = max(abs(mu), abs(mv), 1e-300)
-        return abs(mu - self.mass_u) <= rtol * scale and abs(mv - self.mass_v) <= rtol * scale
-
     @property
     def total_mass(self) -> float:
         return self.mass_u + self.mass_v
@@ -134,9 +127,7 @@ def tail_integral(f: np.ndarray, grid: GridSpec, r) -> float | np.ndarray:
     f = np.asarray(f, dtype=float)
     nodes = grid.nodes()
     h = grid.h
-    # nodewise tails: T[j] = integral from node j to the end
-    cell = 0.5 * h * (f[:-1] + f[1:])
-    tails = np.concatenate([np.cumsum(cell[::-1])[::-1], [0.0]])
+    tails = tail_curve(f, grid)
 
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     rc = np.clip(r_arr, nodes[0], nodes[-1])
@@ -163,7 +154,11 @@ def tail_curve(f: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 def _invert_tail(f: np.ndarray, grid: GridSpec, target: float) -> float:
-    """Solve tail_integral(f, r) = target by bisection; tail is monotone."""
+    """Solve tail_integral(f, r) = target by bisection; tail is monotone.
+
+    Where the tail is flat at the target (a zero-density stretch) this
+    returns the rightmost r that still reaches it.
+    """
     lo, hi = grid.r_min, grid.r_max
     total = tail_integral(f, grid, lo)
     if not 0.0 <= target <= total:
@@ -178,17 +173,9 @@ def _invert_tail(f: np.ndarray, grid: GridSpec, target: float) -> float:
 
 
 def _invert_head(f: np.ndarray, grid: GridSpec, target: float) -> float:
-    lo, hi = grid.r_min, grid.r_max
-    total = head_integral(f, grid, hi)
-    if not 0.0 <= target <= total:
-        raise ProfileError(f"head target {target} outside [0, {total}]")
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if head_integral(f, grid, mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    """Mirror of _invert_tail: the leftmost r whose head integral reaches
+    the target."""
+    return -_invert_tail(f[::-1], grid.mirrored(), target)
 
 
 # ---------------------------------------------------------------------------
@@ -201,20 +188,17 @@ def split_tail(f: np.ndarray, grid: GridSpec, mass: float) -> tuple[np.ndarray, 
     parts are nonnegative and sum to f nodewise.
     """
     f = np.asarray(f, dtype=float)
-    w = node_weights(grid)
-    node_mass = w * f
+    node_mass = node_weights(grid) * f
     total = float(node_mass.sum())
     if mass < 0 or mass > total + 1e-12 * max(total, 1.0):
         raise ProfileError(f"cannot remove mass {mass} from total {total}")
+    # mass of the nodes strictly right of each node, summed from the right
+    right = np.concatenate([np.cumsum(node_mass[:0:-1])[::-1], [0.0]])
+    take = np.clip(mass - right, 0.0, node_mass)
     removed = np.zeros_like(f)
-    acc = 0.0
-    for j in range(len(f) - 1, -1, -1):
-        if acc >= mass:
-            break
-        take = min(node_mass[j], mass - acc)
-        if node_mass[j] > 0:
-            removed[j] = f[j] * (take / node_mass[j])
-        acc += take
+    nz = node_mass > 0
+    # a share of f, not take / w, so that nodes taken whole are exact
+    removed[nz] = f[nz] * (take[nz] / node_mass[nz])
     kept = f - removed
     np.clip(kept, 0.0, None, out=kept)
     return kept, removed
@@ -222,12 +206,8 @@ def split_tail(f: np.ndarray, grid: GridSpec, mass: float) -> tuple[np.ndarray, 
 
 def split_head(f: np.ndarray, grid: GridSpec, mass: float) -> tuple[np.ndarray, np.ndarray]:
     """Mirror of split_tail: the removed mass is taken from the left."""
-    kept_r, removed_r = split_tail(f[::-1], _mirror(grid), mass)
+    kept_r, removed_r = split_tail(f[::-1], grid.mirrored(), mass)
     return kept_r[::-1], removed_r[::-1]
-
-
-def _mirror(grid: GridSpec) -> GridSpec:
-    return GridSpec(-grid.r_max, -grid.r_min, grid.n_cells)
 
 
 # ---------------------------------------------------------------------------
@@ -287,15 +267,27 @@ def validate_class_U(p: ProfilePair) -> ClassUReport:
 # cut operator
 
 
-def cut_points(p: ProfilePair, kappa_delta: float) -> CutPoints:
-    """Locations where u's rightmost and v's leftmost `kappa_delta` mass start."""
+def _check_transfer(p: ProfilePair, kappa_delta: float) -> None:
     if kappa_delta >= min(p.mass_u, p.mass_v):
         raise AnnihilationError(
             f"transfer {kappa_delta} >= species mass "
             f"(mass_u={p.mass_u}, mass_v={p.mass_v})")
+
+
+def cut_points(p: ProfilePair, kappa_delta: float) -> CutPoints:
+    """Locations where u's rightmost and v's leftmost `kappa_delta` mass start."""
+    _check_transfer(p, kappa_delta)
     R = _invert_tail(p.u, p.grid, kappa_delta)
     D = _invert_head(p.v, p.grid, kappa_delta)
     return CutPoints(R_delta=R, D_delta=D)
+
+
+def _exchange(p: ProfilePair, m: float, split_u, split_v) -> ProfilePair:
+    """Move mass m from u to v and mass m from v to u; split_u and split_v
+    (split_tail or split_head) say which end of each species gives it up."""
+    u_kept, u_out = split_u(p.u, p.grid, m)
+    v_kept, v_out = split_v(p.v, p.grid, m)
+    return ProfilePair(p.grid, u_kept + v_out, v_kept + u_out)
 
 
 def apply_cut(p: ProfilePair, kappa_delta: float) -> ProfilePair:
@@ -304,13 +296,8 @@ def apply_cut(p: ProfilePair, kappa_delta: float) -> ProfilePair:
     Exactly mass preserving per species and pointwise sum preserving:
     u' + v' = u + v at every node.
     """
-    if kappa_delta >= min(p.mass_u, p.mass_v):
-        raise AnnihilationError(
-            f"transfer {kappa_delta} >= species mass "
-            f"(mass_u={p.mass_u}, mass_v={p.mass_v})")
-    u_head, u_tail = split_tail(p.u, p.grid, kappa_delta)
-    v_tail, v_head = split_head(p.v, p.grid, kappa_delta)
-    return ProfilePair(p.grid, u_head + v_head, v_tail + u_tail)
+    _check_transfer(p, kappa_delta)
+    return _exchange(p, kappa_delta, split_tail, split_head)
 
 
 # ---------------------------------------------------------------------------
@@ -423,40 +410,36 @@ def default_m0(p: ProfilePair) -> float:
     return 0.1 * min(p.mass_u, p.mass_v)
 
 
-def repair_upper(p: ProfilePair, m: float, m0: float | None = None) -> ProfilePair:
-    """Dominating pair: hand u's leftmost m mass to v and take v's rightmost
-    m mass into u.  Raises the u-tails by at most m everywhere."""
+def _repair(p: ProfilePair, m: float, m0: float | None, split_u, split_v
+            ) -> ProfilePair:
+    """Exchange m mass as `_exchange` does, provided 0 <= m < m0 and the
+    mass given up from a head lies strictly left of the mass given up from
+    a tail."""
     if m0 is None:
         m0 = default_m0(p)
     if not 0 <= m < m0:
         raise RepairError(f"need 0 <= m < m0 = {m0}, got m = {m}")
     if m == 0:
         return p.copy()
-    H = _invert_head(p.u, p.grid, m)
-    Z = _invert_tail(p.v, p.grid, m)
+    f_head, f_tail = (p.u, p.v) if split_u is split_head else (p.v, p.u)
+    H = _invert_head(f_head, p.grid, m)
+    Z = _invert_tail(f_tail, p.grid, m)
     if H >= Z:
-        raise RepairError(f"transfer regions overlap: H = {H} >= Z = {Z}")
-    u_tail, u_head = split_head(p.u, p.grid, m)
-    v_head, v_tail = split_tail(p.v, p.grid, m)
-    return ProfilePair(p.grid, u_tail + v_tail, v_head + u_head)
+        raise RepairError(f"transfer regions overlap: head point {H} >= "
+                          f"tail point {Z}")
+    return _exchange(p, m, split_u, split_v)
+
+
+def repair_upper(p: ProfilePair, m: float, m0: float | None = None) -> ProfilePair:
+    """Dominating pair: hand u's leftmost m mass to v and take v's rightmost
+    m mass into u.  Raises the u-tails by at most m everywhere."""
+    return _repair(p, m, m0, split_head, split_tail)
 
 
 def repair_lower(p: ProfilePair, m: float, m0: float | None = None) -> ProfilePair:
     """Dominated pair: hand u's rightmost m mass to v and take v's leftmost
-    m mass into u."""
-    if m0 is None:
-        m0 = default_m0(p)
-    if not 0 <= m < m0:
-        raise RepairError(f"need 0 <= m < m0 = {m0}, got m = {m}")
-    if m == 0:
-        return p.copy()
-    Hp = _invert_tail(p.u, p.grid, m)
-    Zp = _invert_head(p.v, p.grid, m)
-    if Zp >= Hp:
-        raise RepairError(f"transfer regions overlap: Z' = {Zp} >= H' = {Hp}")
-    u_head, u_tail = split_tail(p.u, p.grid, m)
-    v_tail, v_head = split_head(p.v, p.grid, m)
-    return ProfilePair(p.grid, u_head + v_head, v_tail + u_tail)
+    m mass into u (the cut, checked for overlapping transfer regions)."""
+    return _repair(p, m, m0, split_tail, split_head)
 
 
 # ---------------------------------------------------------------------------
@@ -512,18 +495,3 @@ def profile_to_csv(p: ProfilePair, path) -> None:
         wr.writerow(["r", "u", "v"])
         for r, uu, vv in zip(p.grid.nodes(), p.u, p.v):
             wr.writerow([f"{r:.12g}", f"{uu:.12g}", f"{vv:.12g}"])
-
-
-def profile_header(p: ProfilePair, **extra) -> dict:
-    head = {
-        "grid": {"r_min": p.grid.r_min, "r_max": p.grid.r_max, "n_cells": p.grid.n_cells},
-        "mass_u": p.mass_u,
-        "mass_v": p.mass_v,
-    }
-    head.update(extra)
-    return head
-
-
-def profile_header_json(p: ProfilePair, path, **extra) -> None:
-    with open(path, "w") as fh:
-        json.dump(profile_header(p, **extra), fh, indent=2)

@@ -250,7 +250,7 @@ def test_constant_boundary_oracle(boundary_gate):
 def test_absorbed_mass_identity(fine_sol, boundary_gate):
     for t, seed in ((0.1, 41), (0.25, 43)):
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        check = fbp.mass_identity_check(fine_sol, t, 100_000, rng, dt=2e-4)
+        check = fbp.mc_validate(fine_sol, t, 100_000, rng, dt=2e-4).mass
         assert check.target == pytest.approx(fine_sol.kappa * t)
         assert abs(check.z) <= 3.0, vars(check)
 

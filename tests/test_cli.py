@@ -112,8 +112,33 @@ class TestHydroCompare:
         assert len(report["runs"]) == 2
         assert 0.0 < report["mean_sup_dev"] < 2.0
 
+    def test_t_eval_before_the_horizon(self, tmp_path):
+        cfg = {"epsilon": 0.1, "kappa": 1.0, "horizon_T": 0.2, "seed": 2,
+               "t_eval": 0.1, "delta_ref": 0.02, "threshold": 2.0}
+        code, out = run(tmp_path, "hydro-compare", cfg, "--seeds", "2")
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["t_eval"] == 0.1
+
+    def test_t_eval_past_the_horizon_is_a_config_error(self, tmp_path):
+        cfg = {"epsilon": 0.1, "kappa": 1.0, "horizon_T": 0.1, "seed": 2,
+               "t_eval": 0.2, "delta_ref": 0.02}
+        code, _ = run(tmp_path, "hydro-compare", cfg)
+        assert code == 2
+
 
 class TestUsageErrors:
+    @pytest.mark.parametrize("command, cfg", [
+        ("barriers", {"kappa": 0.5, "delta": 0, "horizon_T": 0.1}),
+        ("fbp", {"kappa": 0.5, "delta": -0.01, "horizon_T": 0.1}),
+        ("couple-verify", {"exhaustive": {"max_particles": "x"}}),
+        ("fbp", {"kappa": 0.5, "delta": 0.05, "horizon_T": 0.1,
+                 "mc": {"t": 0.1, "n_paths": 10, "dt": "x"}}),
+    ])
+    def test_bad_value_is_a_usage_error(self, tmp_path, command, cfg):
+        code, _ = run(tmp_path, command, cfg)
+        assert code == 2
+
     def test_missing_config_file(self, tmp_path):
         code = main(["simulate", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")])

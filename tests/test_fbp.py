@@ -156,7 +156,7 @@ class TestMcValidation:
 
     def test_mass_identity_direct(self, coarse_sol):
         rng = np.random.default_rng(5)
-        check = fbp.mass_identity_check(coarse_sol, 0.1, 4000, rng, dt=1e-3)
+        check = fbp.mc_validate(coarse_sol, 0.1, 4000, rng, dt=1e-3).mass
         assert check.target == pytest.approx(0.05)
         assert abs(check.z) <= 4.0
 

@@ -110,7 +110,7 @@ class TestSplits:
         p = random_class_u_pair(rng)
         m = 0.3 * p.mass_u
         kept_h, removed_h = macro.split_head(p.u, p.grid, m)
-        kept_t, removed_t = macro.split_tail(p.u[::-1], macro._mirror(p.grid), m)
+        kept_t, removed_t = macro.split_tail(p.u[::-1], p.grid.mirrored(), m)
         assert np.allclose(kept_h, kept_t[::-1])
         assert np.allclose(removed_h, removed_t[::-1])
 
@@ -172,6 +172,20 @@ class TestCut:
         after = np.asarray(macro.tail_integral(c.u, c.grid, rs))
         assert np.all(after <= before + 1e-12)
         assert np.all(before - after <= q + 1e-12)
+
+    def test_cut_points_on_flat_stretches(self):
+        # two tents with a zero-density gap: every r in the gap has the same
+        # tail, and the cut must start where the outer tent's mass starts,
+        # not anywhere else in the gap
+        grid = GridSpec(-2.0, 2.0, 400)
+        u = macro.tent(grid, -1.5, -0.5, 1.0) + macro.tent(grid, 0.5, 1.5, 0.5)
+        v = macro.tent(grid, -1.5, -0.5, 0.5) + macro.tent(grid, 0.5, 1.5, 1.0)
+        p = ProfilePair(grid, u, v)
+        target = min(macro.tail_integral(u, grid, 0.0),
+                     macro.head_integral(v, grid, 0.0))
+        cp = macro.cut_points(p, target)
+        assert cp.R_delta == pytest.approx(0.5, abs=1e-7)
+        assert cp.D_delta == pytest.approx(-0.5, abs=1e-7)
 
     def test_cut_annihilation_guard(self, rng):
         p = random_class_u_pair(rng)
@@ -266,6 +280,9 @@ class TestRepair:
             assert macro.dominated_by(f, p, tol=1e-10)
             gap, _ = macro.order_gap(p, f)
             assert gap <= m + 1e-10
+            # a feasible lower repair is exactly the cut
+            c = macro.apply_cut(p, m)
+            assert np.array_equal(f.u, c.u) and np.array_equal(f.v, c.v)
         assert done >= 5
 
     def test_zero_transfer_is_identity(self, rng):
