@@ -50,7 +50,12 @@ def require(cfg: dict, key: str, typ=None):
     if key not in cfg:
         raise ConfigError(f"missing config key {key!r}")
     val = cfg[key]
-    if typ is not None and not isinstance(val, typ):
+    if typ is None:
+        return val
+    types = typ if isinstance(typ, tuple) else (typ,)
+    # JSON true/false load as bool, a subclass of int: only bool keys take them
+    if not isinstance(val, types) or (isinstance(val, bool)
+                                      and bool not in types):
         raise ConfigError(f"config key {key!r} has wrong type")
     return val
 
@@ -63,6 +68,12 @@ def optional(cfg: dict, key: str, typ, default):
 def positive(val, key: str):
     if not val > 0:
         raise ConfigError(f"config key {key!r} must be positive")
+    return val
+
+
+def nonnegative(val, key: str):
+    if not val >= 0:
+        raise ConfigError(f"config key {key!r} must be nonnegative")
     return val
 
 
@@ -90,7 +101,7 @@ def sim_config(cfg: dict) -> lattice.SimConfig:
         epsilon=require(cfg, "epsilon", (int, float)),
         kappa=require(cfg, "kappa", (int, float)),
         horizon_T=require(cfg, "horizon_T", (int, float)),
-        seed=require(cfg, "seed", int),
+        seed=nonnegative(require(cfg, "seed", int), "seed"),
     )
 
 
@@ -183,11 +194,17 @@ def cmd_couple_verify(args, cfg: dict, out: Path) -> int:
 def cmd_barriers(args, cfg: dict, out: Path) -> int:
     kappa = require(cfg, "kappa", (int, float))
     delta = positive(require(cfg, "delta", (int, float)), "delta")
-    T = require(cfg, "horizon_T", (int, float))
+    T = positive(require(cfg, "horizon_T", (int, float)), "horizon_T")
     p0 = profile_from_config(cfg)
     n = int(round(T / delta))
-    minus = macro.iterate_barriers(p0, delta, kappa, n, "minus")
-    plus = macro.iterate_barriers(p0, delta, kappa, n, "plus")
+    try:
+        minus = macro.iterate_barriers(p0, delta, kappa, n, "minus")
+        plus = macro.iterate_barriers(p0, delta, kappa, n, "plus")
+    except macro.AnnihilationError as exc:
+        # a model outcome, not a usage error: reported like fbp's
+        write_report(out, {"n_steps": n, "annihilated": True,
+                           "error": str(exc)})
+        return 1
     macro.profile_to_csv(minus[-1], out / "final_minus.csv")
     macro.profile_to_csv(plus[-1], out / "final_plus.csv")
     gap, r_at = macro.order_gap(minus[-1], plus[-1])
@@ -195,6 +212,7 @@ def cmd_barriers(args, cfg: dict, out: Path) -> int:
     ordered = gap <= 1e-9
     write_report(out, {
         "n_steps": n,
+        "annihilated": False,
         "bracket_widths": widths,
         "final_order_gap": gap,
         "final_order_gap_at": r_at,
@@ -206,7 +224,7 @@ def cmd_barriers(args, cfg: dict, out: Path) -> int:
 def cmd_fbp(args, cfg: dict, out: Path) -> int:
     kappa = require(cfg, "kappa", (int, float))
     delta = positive(require(cfg, "delta", (int, float)), "delta")
-    T = require(cfg, "horizon_T", (int, float))
+    T = positive(require(cfg, "horizon_T", (int, float)), "horizon_T")
     p0 = profile_from_config(cfg)
     sol = fbp.solve_reference(p0, kappa, T, delta,
                               both_variants=optional(cfg, "both_variants",
@@ -219,7 +237,8 @@ def cmd_fbp(args, cfg: dict, out: Path) -> int:
     mc_cfg = optional(cfg, "mc", dict, None)
     if mc_cfg is not None:
         rng = np.random.default_rng(
-            np.random.SeedSequence(optional(mc_cfg, "seed", int, 0)))
+            np.random.SeedSequence(
+                nonnegative(optional(mc_cfg, "seed", int, 0), "mc.seed")))
         z_max = optional(mc_cfg, "z_max", (int, float), 4.0)
         t = require(mc_cfg, "t", (int, float))
         n_paths = positive(require(mc_cfg, "n_paths", int), "n_paths")

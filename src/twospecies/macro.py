@@ -11,6 +11,7 @@ transferred chunk carries exactly the requested mass.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -154,22 +155,39 @@ def tail_curve(f: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 def _invert_tail(f: np.ndarray, grid: GridSpec, target: float) -> float:
-    """Solve tail_integral(f, r) = target by bisection; tail is monotone.
+    """Solve tail_integral(f, r) = target exactly.
 
+    The trapezoid tail is quadratic in r on each cell, so one search over
+    the nodewise tails finds the cell and a closed-form root gives r.
     Where the tail is flat at the target (a zero-density stretch) this
-    returns the rightmost r that still reaches it.
+    returns the rightmost r that still reaches it; a target of 0 gives
+    r_max.
     """
-    lo, hi = grid.r_min, grid.r_max
-    total = tail_integral(f, grid, lo)
+    f = np.asarray(f, dtype=float)
+    tails = tail_curve(f, grid)
+    total = float(tails[0])
     if not 0.0 <= target <= total:
         raise ProfileError(f"tail target {target} outside [0, {total}]")
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if tail_integral(f, grid, mid) >= target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # a reversed cumsum of nonnegative terms is nonincreasing in floating
+    # point too: j is the rightmost node whose tail reaches the target
+    j = grid.n_cells - int(np.searchsorted(tails[::-1], target, side="left"))
+    if j == grid.n_cells:
+        return grid.r_max
+    # on [r, r_{j+1}] with s = r_{j+1} - r the tail is
+    # tails[j+1] + s f1 - s^2 (f1 - f0) / (2h); take its cancellation-free
+    # root
+    h = grid.h
+    f0, f1 = float(f[j]), float(f[j + 1])
+    c = target - float(tails[j + 1])
+    disc = max(f1 * f1 - 2.0 * c * (f1 - f0) / h, 0.0)
+    denom = f1 + math.sqrt(disc)
+    if denom > 0:
+        s = 2.0 * c / denom
+    else:
+        # f1 = 0 and disc underflowed (densities below about 1e-154); the
+        # cell carries mass, so f0 > 0 and the tail is s^2 f0 / (2h)
+        s = math.sqrt(2.0 * h * c / f0)
+    return grid.r_min + h * (j + 1) - min(s, h)
 
 
 def _invert_head(f: np.ndarray, grid: GridSpec, target: float) -> float:
@@ -304,15 +322,22 @@ def apply_cut(p: ProfilePair, kappa_delta: float) -> ProfilePair:
 # heat convolution
 
 
+@functools.lru_cache(maxsize=16)
 def gauss_kernel(h: float, t: float) -> np.ndarray:
     """Discrete Gaussian kernel of variance t on spacing h, truncated at
-    8*sqrt(t) and renormalized to unit discrete mass."""
+    8*sqrt(t) and renormalized to unit discrete mass.
+
+    Memoized on the exact (h, t): a barrier iteration asks for the same
+    kernel at every step, so the result is returned read-only.
+    """
     if t <= 0:
         raise ProfileError("convolution time must be positive")
     radius = max(int(math.ceil(8.0 * math.sqrt(t) / h)), 1)
     x = h * np.arange(-radius, radius + 1)
     k = np.exp(-x * x / (2.0 * t))
-    return k / k.sum()
+    k = k / k.sum()
+    k.flags.writeable = False
+    return k
 
 
 def gauss_convolve_samples(f: np.ndarray, grid: GridSpec, t: float

@@ -86,6 +86,15 @@ class TestBarriers:
         assert report["ordered"]
         assert report["n_steps"] == 5
         assert len(report["bracket_widths"]) == 6
+        assert not report["annihilated"]
+
+    def test_annihilation_is_a_violation(self, tmp_path):
+        # kappa * delta = 2 exceeds each species' unit mass at the first step
+        cfg = {"kappa": 40.0, "delta": 0.05, "horizon_T": 0.5}
+        code, out = run(tmp_path, "barriers", cfg)
+        assert code == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["annihilated"]
 
 
 class TestFbp:
@@ -134,6 +143,14 @@ class TestUsageErrors:
         ("couple-verify", {"exhaustive": {"max_particles": "x"}}),
         ("fbp", {"kappa": 0.5, "delta": 0.05, "horizon_T": 0.1,
                  "mc": {"t": 0.1, "n_paths": 10, "dt": "x"}}),
+        ("simulate", dict(SIM_CFG, seed=-1)),
+        ("fbp", {"kappa": 0.5, "delta": 0.05, "horizon_T": 0.1,
+                 "mc": {"t": 0.1, "n_paths": 10, "seed": -1}}),
+        ("couple-verify", {"exhaustive": {"max_particles": True, "n_sites": 2,
+                                          "max_marks": 1}}),
+        ("barriers", {"kappa": True, "delta": 0.05, "horizon_T": 0.1}),
+        ("barriers", {"kappa": 0.5, "delta": 0.05, "horizon_T": -0.1}),
+        ("fbp", {"kappa": 0.5, "delta": 0.05, "horizon_T": -0.1}),
     ])
     def test_bad_value_is_a_usage_error(self, tmp_path, command, cfg):
         code, _ = run(tmp_path, command, cfg)

@@ -88,6 +88,89 @@ class TestQuadrature:
                                                       p.grid.nodes()))
 
 
+def bisect_tail(f, grid, target):
+    """Oracle for the exact inverse: 100 bisection steps toward the
+    rightmost r whose tail reaches the target."""
+    lo, hi = grid.r_min, grid.r_max
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if macro.tail_integral(f, grid, mid) >= target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class TestInverse:
+    """`_invert_tail` solves the piecewise-quadratic trapezoid tail in
+    closed form; `_invert_head` is its mirror."""
+
+    N_PAIRS = 25
+
+    def test_tail_inverse_matches_bisection(self, rng):
+        # kept below the total: within about 1e-7 of r_min the tail is flat
+        # to one ulp, where the two methods may legitimately differ
+        for _ in range(self.N_PAIRS):
+            p = random_class_u_pair(rng)
+            total = float(macro.tail_curve(p.u, p.grid)[0])
+            for target in rng.uniform(0.0, 0.99 * total, size=4):
+                r = macro._invert_tail(p.u, p.grid, target)
+                assert abs(r - bisect_tail(p.u, p.grid, target)) <= 1e-12
+
+    def test_head_inverse_matches_mirrored_bisection(self, rng):
+        for _ in range(self.N_PAIRS):
+            p = random_class_u_pair(rng)
+            f, mirror = p.v[::-1], p.grid.mirrored()
+            total = float(macro.tail_curve(f, mirror)[0])
+            for target in rng.uniform(0.0, 0.99 * total, size=4):
+                r = macro._invert_head(p.v, p.grid, target)
+                assert abs(r + bisect_tail(f, mirror, target)) <= 1e-12
+
+    def test_tail_residual_over_the_whole_range(self, rng):
+        for _ in range(self.N_PAIRS):
+            p = random_class_u_pair(rng)
+            total = float(macro.tail_curve(p.u, p.grid)[0])
+            for target in [*rng.uniform(0.0, total, size=8), total]:
+                r = macro._invert_tail(p.u, p.grid, target)
+                assert (abs(macro.tail_integral(p.u, p.grid, r) - target)
+                        <= 1e-15 * max(total, 1.0))
+
+    def test_head_residual_over_the_whole_range(self, rng):
+        # head_integral is the total minus a tail, so it carries that
+        # subtraction's rounding; targets stay below the mirrored total,
+        # which can sit one ulp under the forward one
+        for _ in range(self.N_PAIRS):
+            p = random_class_u_pair(rng)
+            total = float(macro.tail_curve(p.v[::-1], p.grid.mirrored())[0])
+            for target in [*rng.uniform(0.0, total, size=8), total]:
+                r = macro._invert_head(p.v, p.grid, target)
+                assert (abs(macro.head_integral(p.v, p.grid, r) - target)
+                        <= 1e-14 * max(total, 1.0))
+
+    def test_tiny_density_cell_matches_bisection(self):
+        # at densities near 1e-200 the discriminant underflows to 0
+        grid = GridSpec(0.0, 1.0, 10)
+        f = np.zeros(grid.n_nodes)
+        f[3] = 1e-200
+        for target in (1e-210, 1e-205, 5e-204):
+            r = macro._invert_tail(f, grid, target)
+            assert abs(r - bisect_tail(f, grid, target)) <= 1e-12
+
+    def test_zero_target_gives_the_grid_ends(self, rng):
+        p = random_class_u_pair(rng)
+        assert macro._invert_tail(p.u, p.grid, 0.0) == p.grid.r_max
+        assert macro._invert_head(p.v, p.grid, 0.0) == p.grid.r_min
+
+    def test_out_of_range_target_rejected(self, rng):
+        p = random_class_u_pair(rng)
+        total = float(macro.tail_curve(p.u, p.grid)[0])
+        for target in (-1e-12, total * (1.0 + 1e-9)):
+            with pytest.raises(ProfileError):
+                macro._invert_tail(p.u, p.grid, target)
+            with pytest.raises(ProfileError):
+                macro._invert_head(p.u, p.grid, target)
+
+
 class TestSplits:
     @pytest.mark.parametrize("mass", [0.0, 0.1, 0.37, 0.999])
     def test_split_tail_exact(self, rng, mass):
@@ -198,6 +281,13 @@ class TestGaussian:
         k = macro.gauss_kernel(0.01, 0.05)
         assert float(k.sum()) == pytest.approx(1.0, abs=1e-14)
         assert np.allclose(k, k[::-1])
+
+    def test_kernel_is_shared_and_read_only(self):
+        k = macro.gauss_kernel(0.01, 0.05)
+        assert macro.gauss_kernel(0.01, 0.05) is k
+        assert not k.flags.writeable
+        with pytest.raises(ProfileError):
+            macro.gauss_kernel(0.01, 0.0)
 
     def test_convolution_preserves_mass(self, rng):
         p = random_class_u_pair(rng)
