@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -66,8 +67,8 @@ def optional(cfg: dict, key: str, typ, default):
 
 
 def positive(val, key: str):
-    if not val > 0:
-        raise ConfigError(f"config key {key!r} must be positive")
+    if not 0 < val < math.inf:
+        raise ConfigError(f"config key {key!r} must be positive and finite")
     return val
 
 
@@ -91,8 +92,12 @@ def profile_from_config(cfg: dict) -> macro.ProfilePair:
     grid = grid_from_config(require(spec, "grid", dict))
     ut = require(spec, "u_tent", list)
     vt = require(spec, "v_tent", list)
-    if len(ut) != 3 or len(vt) != 3:
-        raise ConfigError("u_tent / v_tent must be [left, right, mass]")
+    for key, entries in (("u_tent", ut), ("v_tent", vt)):
+        if len(entries) != 3 or not all(
+                isinstance(x, (int, float)) and not isinstance(x, bool)
+                and -math.inf < x < math.inf for x in entries):
+            raise ConfigError(f"{key} must be [left, right, mass], "
+                              "three finite numbers")
     return macro.ProfilePair(grid, macro.tent(grid, *ut), macro.tent(grid, *vt))
 
 
@@ -180,9 +185,8 @@ def cmd_couple_verify(args, cfg: dict, out: Path) -> int:
     if sand_cfg is not None:
         scfg = sim_config(sand_cfg)
         profile = profile_from_config(sand_cfg)
-        srep = coupling.verify_sandwich(scfg, profile,
-                                        require(sand_cfg, "delta", (int, float)),
-                                        args.seeds)
+        delta = positive(require(sand_cfg, "delta", (int, float)), "delta")
+        srep = coupling.verify_sandwich(scfg, profile, delta, args.seeds)
         report["sandwich"] = json.loads(srep.to_json())
         ok = ok and srep.ok
     if not report:
@@ -196,7 +200,7 @@ def cmd_barriers(args, cfg: dict, out: Path) -> int:
     delta = positive(require(cfg, "delta", (int, float)), "delta")
     T = positive(require(cfg, "horizon_T", (int, float)), "horizon_T")
     p0 = profile_from_config(cfg)
-    n = int(round(T / delta))
+    n = macro.step_count(T, delta)
     try:
         minus = macro.iterate_barriers(p0, delta, kappa, n, "minus")
         plus = macro.iterate_barriers(p0, delta, kappa, n, "plus")

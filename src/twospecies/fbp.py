@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .macro import (GridSpec, ProfileError, ProfilePair, iterate_barriers,
-                    l1_distance_u, node_weights, resample, tail_integral)
+                    l1_distance_u, node_weights, resample, step_count,
+                    tail_integral)
 
 
 class FbpError(ProfileError):
@@ -130,9 +131,10 @@ def solve_reference(initial: ProfilePair, kappa: float, T: float, delta: float,
     """
     from .macro import AnnihilationError, barrier_step
 
-    n = int(round(T / delta))
-    if abs(n * delta - T) > 1e-9 * max(T, 1.0):
-        raise FbpError(f"T={T} is not a multiple of delta={delta}")
+    try:
+        n = step_count(T, delta)
+    except ProfileError as exc:
+        raise FbpError(str(exc)) from None
     annihilated = False
     minus = [initial]
     try:

@@ -43,12 +43,12 @@ class SimConfig:
     def __post_init__(self):
         if not 0 < self.epsilon < 1:
             raise SimulationError("epsilon must be in (0, 1)")
-        if self.kappa < 0:
-            raise SimulationError("kappa must be nonnegative")
-        if self.horizon_T <= 0:
-            raise SimulationError("horizon_T must be positive")
-        if self.walk_rate <= 0:
-            raise SimulationError("walk_rate must be positive")
+        if not 0 <= self.kappa < np.inf:
+            raise SimulationError("kappa must be nonnegative and finite")
+        if not 0 < self.horizon_T < np.inf:
+            raise SimulationError("horizon_T must be positive and finite")
+        if not 0 < self.walk_rate < np.inf:
+            raise SimulationError("walk_rate must be positive and finite")
 
     @property
     def micro_horizon(self) -> float:
@@ -185,7 +185,68 @@ def sample_clock(cfg: SimConfig, rng: np.random.Generator) -> EventLog:
 # walks
 
 
-class PositionRealization:
+def _walk_draws(t_end: float, rate: float, rng: np.random.Generator
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """One particle's jump times in (0, t_end] and up-step flags.
+
+    The one walk sampler: stored and streamed walks both draw through it,
+    so they consume the generator identically.
+    """
+    expected = max(int(rate * t_end * 1.3) + 16, 16)
+    ts: list[np.ndarray] = []
+    t_acc = 0.0
+    while t_acc <= t_end:
+        chunk = np.cumsum(rng.exponential(1.0 / rate, size=expected)) + t_acc
+        ts.append(chunk)
+        t_acc = chunk[-1]
+    all_t = np.concatenate(ts)
+    all_t = all_t[all_t <= t_end]
+    return all_t, rng.random(len(all_t)) < 0.5
+
+
+def _stream_positions(x0: np.ndarray, t_end: float, rate: float,
+                      rng: np.random.Generator, times: np.ndarray) -> np.ndarray:
+    """Positions at `times` (rows) of freshly drawn walks, one particle's
+    draw held at a time."""
+    out = np.empty((len(times), len(x0)), dtype=np.int64)
+    for i, x in enumerate(x0):
+        jt, up = _walk_draws(t_end, rate, rng)
+        k = np.searchsorted(jt, times, side="right")
+        # after k jumps, n of them up: x + n - (k - n)
+        n_up = np.concatenate([[0], np.cumsum(up)])[k]
+        out[:, i] = x + 2 * n_up - k
+    return out
+
+
+class _Walks:
+    """Positions of M independent walks on [0, t_end]."""
+
+    x0: np.ndarray
+    t_end: float
+
+    @property
+    def M(self) -> int:
+        return len(self.x0)
+
+    def _query_times(self, times) -> np.ndarray:
+        """`times` checked to lie in [0, t_end] and capped at t_end (no
+        walk jumps after it)."""
+        times = np.asarray(times, dtype=float)
+        bad = ~((times >= 0) & (times <= self.t_end + 1e-9))
+        if bad.any():
+            raise SimulationError(f"query time {times[bad][0]} outside "
+                                  f"[0, {self.t_end}]")
+        return np.minimum(times, self.t_end)
+
+    def positions_at(self, t: float) -> np.ndarray:
+        return self.positions_at_many([t])[0]
+
+    def positions_at_many(self, times) -> np.ndarray:
+        """Positions at each of `times`: row j holds the time times[j]."""
+        raise NotImplementedError
+
+
+class PositionRealization(_Walks):
     """A stored realization of the independent walks on [0, t_end].
 
     Keeping the whole realization lets the true and auxiliary color
@@ -209,34 +270,50 @@ class PositionRealization:
     def sample(cls, x0: np.ndarray, t_end: float, rate: float,
                rng: np.random.Generator) -> "PositionRealization":
         x0 = np.asarray(x0, dtype=np.int64)
-        jump_times: list[np.ndarray] = []
-        steps: list[np.ndarray] = []
-        expected = max(int(rate * t_end * 1.3) + 16, 16)
-        for _ in range(len(x0)):
-            ts: list[np.ndarray] = []
-            t_acc = 0.0
-            while t_acc <= t_end:
-                chunk = np.cumsum(rng.exponential(1.0 / rate, size=expected)) + t_acc
-                ts.append(chunk)
-                t_acc = chunk[-1]
-            all_t = np.concatenate(ts)
-            all_t = all_t[all_t <= t_end]
-            jump_times.append(all_t)
-            steps.append(np.where(rng.random(len(all_t)) < 0.5, 1, -1).astype(np.int64))
-        return cls(x0, jump_times, steps, t_end, rate)
+        draws = [_walk_draws(t_end, rate, rng) for _ in range(len(x0))]
+        return cls(x0, [jt for jt, _ in draws],
+                   [np.where(up, 1, -1).astype(np.int64) for _, up in draws],
+                   t_end, rate)
 
-    @property
-    def M(self) -> int:
-        return len(self.x0)
-
-    def positions_at(self, t: float) -> np.ndarray:
-        if t < 0 or t > self.t_end + 1e-9:
-            raise SimulationError(f"query time {t} outside [0, {self.t_end}]")
-        out = np.empty(self.M, dtype=np.int64)
+    def positions_at_many(self, times) -> np.ndarray:
+        times = self._query_times(times)
+        out = np.empty((len(times), self.M), dtype=np.int64)
         for i in range(self.M):
-            k = np.searchsorted(self.jump_times[i], t, side="right")
-            out[i] = self.paths[i][k]
+            k = np.searchsorted(self.jump_times[i], times, side="right")
+            out[:, i] = self.paths[i][k]
         return out
+
+
+class StreamedWalks(_Walks):
+    """The walks of `PositionRealization.sample`, kept only at given times.
+
+    Draws from `rng` exactly what `PositionRealization.sample` draws, but
+    reduces each particle's draw at once to its positions at `times` and
+    at t_end, so memory is O(M * len(times)) instead of O(M * rate * t_end).
+    Any other query time is answered by replaying the draw from the
+    generator state saved before it; `rng` itself is not touched again.
+    """
+
+    def __init__(self, x0: np.ndarray, t_end: float, rate: float,
+                 rng: np.random.Generator, times):
+        self.x0 = np.asarray(x0, dtype=np.int64)
+        self.t_end = float(t_end)
+        self.rate = float(rate)
+        self._bit_generator = type(rng.bit_generator)
+        self._state = rng.bit_generator.state
+        self._times = np.union1d(self._query_times(times), [self.t_end])
+        self._positions = _stream_positions(self.x0, self.t_end, self.rate,
+                                            rng, self._times)
+
+    def positions_at_many(self, times) -> np.ndarray:
+        times = self._query_times(times)
+        k = np.minimum(np.searchsorted(self._times, times), len(self._times) - 1)
+        if np.array_equal(self._times[k], times):
+            return self._positions[k]
+        bit_generator = self._bit_generator()
+        bit_generator.state = self._state
+        return _stream_positions(self.x0, self.t_end, self.rate,
+                                 np.random.Generator(bit_generator), times)
 
 
 def evolve_positions(ps: ParticleState, t0: float, t1: float,
@@ -303,14 +380,15 @@ def apply_H(ps: ParticleState, mark: str) -> ParticleState:
 
 
 class TrueTrajectory:
-    """Cadlag color trajectory driven by a stored walk realization and log.
+    """Cadlag color trajectory driven by a walk realization and log.
 
     At t = s_k the flip has been applied.  Runs where a flip fired on an
     absent species are flagged via `absent_flip_count`.
     """
 
     def __init__(self, initial: ParticleState, log: EventLog,
-                 realization: PositionRealization, t_end: float):
+                 realization: PositionRealization | StreamedWalks,
+                 t_end: float):
         if initial.time != 0:
             raise SimulationError("initial state must be at time 0")
         if t_end > realization.t_end + 1e-9:
@@ -323,10 +401,10 @@ class TrueTrajectory:
         self.absent_flip_count = 0
         self._colors_after: list[np.ndarray] = [initial.colors.copy()]
         colors = initial.colors.copy()
-        for s, mark in zip(log.times, log.marks):
-            if s > t_end:
-                break
-            lab = rank_select(realization.positions_at(s), colors, mark)
+        n = int(np.searchsorted(log.times, t_end, side="right"))
+        ring_positions = realization.positions_at_many(log.times[:n])
+        for positions, mark in zip(ring_positions, log.marks[:n]):
+            lab = rank_select(positions, colors, mark)
             if lab is None:
                 self.absent_flip_count += 1
             else:
@@ -346,11 +424,17 @@ def run_true(ps: ParticleState, log: EventLog, t_end: float,
              rng: np.random.Generator | None = None,
              realization: PositionRealization | None = None,
              walk_rate: float = 1.0) -> TrueTrajectory:
-    """Build the trajectory sampler; pass a realization to reuse positions."""
+    """Build the trajectory sampler; pass a realization to reuse positions.
+
+    With only an rng the walks are streamed (`StreamedWalks`): they are
+    kept at the ring times and t_end, never stored whole.
+    """
     if realization is None:
         if rng is None:
             raise SimulationError("need either an rng or a stored realization")
-        realization = PositionRealization.sample(ps.positions, t_end, walk_rate, rng)
+        n = int(np.searchsorted(log.times, t_end, side="right"))
+        realization = StreamedWalks(ps.positions, t_end, walk_rate, rng,
+                                    log.times[:n])
     return TrueTrajectory(ps, log, realization, t_end)
 
 

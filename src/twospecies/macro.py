@@ -394,6 +394,14 @@ def barrier_step(p: ProfilePair, delta: float, kappa: float, variant: str) -> Pr
     raise ProfileError(f"variant must be 'plus' or 'minus', got {variant!r}")
 
 
+def step_count(T: float, delta: float) -> int:
+    """Number of steps of size delta that reach T; T must be a multiple."""
+    n = int(round(T / delta))
+    if abs(n * delta - T) > 1e-9 * max(T, 1.0):
+        raise ProfileError(f"T={T} is not a multiple of delta={delta}")
+    return n
+
+
 def iterate_barriers(p0: ProfilePair, delta: float, kappa: float, n: int,
                      variant: str) -> list[ProfilePair]:
     """n-fold barrier step; returns [p0, p1, ..., pn]."""

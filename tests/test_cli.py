@@ -20,6 +20,11 @@ def run(tmp_path, command, cfg, *extra):
 
 
 SIM_CFG = {"epsilon": 0.1, "kappa": 1.0, "horizon_T": 0.25, "seed": 17}
+TENT_PROFILE = {
+    "grid": {"r_min": -2.0, "r_max": 2.0, "n_cells": 400},
+    "u_tent": [-1.0, 0.0, 1.0],
+    "v_tent": [-0.5, 1.0, 1.0],
+}
 
 
 class TestSimulate:
@@ -47,13 +52,7 @@ class TestSimulate:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_custom_profile_block(self, tmp_path):
-        cfg = dict(SIM_CFG)
-        cfg["profile"] = {
-            "grid": {"r_min": -2.0, "r_max": 2.0, "n_cells": 400},
-            "u_tent": [-1.0, 0.0, 1.0],
-            "v_tent": [-0.5, 1.0, 1.0],
-        }
-        code, _ = run(tmp_path, "simulate", cfg)
+        code, _ = run(tmp_path, "simulate", dict(SIM_CFG, profile=TENT_PROFILE))
         assert code == 0
 
 
@@ -151,6 +150,20 @@ class TestUsageErrors:
         ("barriers", {"kappa": True, "delta": 0.05, "horizon_T": 0.1}),
         ("barriers", {"kappa": 0.5, "delta": 0.05, "horizon_T": -0.1}),
         ("fbp", {"kappa": 0.5, "delta": 0.05, "horizon_T": -0.1}),
+        ("barriers", {"kappa": 0.5, "delta": 0.05, "horizon_T": 0.01}),
+        ("barriers", {"kappa": 0.5, "delta": 0.03, "horizon_T": 0.1}),
+        ("fbp", {"kappa": 0.5, "delta": float("inf"), "horizon_T": 0.1}),
+        ("barriers", {"kappa": 0.5, "delta": float("inf"), "horizon_T": 0.1}),
+        ("couple-verify", {"sandwich": dict(SIM_CFG, delta=0)}),
+        ("couple-verify", {"sandwich": dict(SIM_CFG, delta=-0.1)}),
+        ("simulate", dict(SIM_CFG, profile=dict(TENT_PROFILE,
+                                                u_tent=["x", 0, 1]))),
+        ("simulate", dict(SIM_CFG, profile=dict(TENT_PROFILE,
+                                                v_tent=[-0.5, 1.0, True]))),
+        ("simulate", dict(SIM_CFG, kappa=float("inf"))),
+        ("barriers", {"kappa": 0.5, "delta": 0.05, "horizon_T": 0.1,
+                      "profile": dict(TENT_PROFILE,
+                                      u_tent=[-1.0, float("inf"), 1.0])}),
     ])
     def test_bad_value_is_a_usage_error(self, tmp_path, command, cfg):
         code, _ = run(tmp_path, command, cfg)

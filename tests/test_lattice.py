@@ -1,4 +1,6 @@
 """Microscopic event-driven simulation: sampling, flips, trajectories."""
+import copy
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,10 @@ class TestConfig:
 
     @pytest.mark.parametrize("bad", [dict(epsilon=0.0), dict(epsilon=1.5),
                                      dict(kappa=-1.0), dict(horizon_T=0.0),
-                                     dict(walk_rate=0.0)])
+                                     dict(walk_rate=0.0),
+                                     dict(kappa=np.inf),
+                                     dict(horizon_T=np.inf),
+                                     dict(walk_rate=np.nan)])
     def test_invalid_parameters(self, bad):
         with pytest.raises(SimulationError):
             cfg_small(**bad)
@@ -150,6 +155,56 @@ class TestWalks:
         ps = ParticleState(np.array([0]), np.array(["a"]), time=1.0)
         with pytest.raises(SimulationError):
             lattice.evolve_positions(ps, 0.0, 2.0, rng)
+
+
+class TestStreamedWalks:
+    @pytest.mark.parametrize("epsilon", [0.1, 0.02])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_streamed_run_matches_the_stored_one(self, epsilon, seed):
+        cfg = cfg_small(epsilon=epsilon, seed=seed)
+        rng = cfg.rng()
+        ps0 = lattice.sample_initial(macro.tent_pair(), cfg, rng)
+        log = lattice.sample_clock(cfg, rng)
+        t_end = cfg.micro_horizon
+        g1, g2 = rng, copy.deepcopy(rng)
+        streamed = lattice.run_true(ps0, log, t_end, rng=g1)
+        real = PositionRealization.sample(ps0.positions, t_end, 1.0, g2)
+        stored = lattice.run_true(ps0, log, t_end, realization=real)
+        assert g1.bit_generator.state == g2.bit_generator.state
+        assert streamed.absent_flip_count == stored.absent_flip_count
+        rings = log.times[log.times <= t_end]
+        assert len(rings) > 0
+        # ring times and t_end are kept; 0 and t_end / 3 are replayed
+        for t in (0.0, *rings, t_end / 3, t_end):
+            a, b = streamed.state_at(float(t)), stored.state_at(float(t))
+            assert np.array_equal(a.positions, b.positions), t
+            assert np.array_equal(a.colors, b.colors), t
+        assert g1.bit_generator.state == g2.bit_generator.state
+
+    def test_positions_at_many_stacks_positions_at(self, rng):
+        real = PositionRealization.sample(np.array([0, 5, -3, 2]), 20.0, 1.0,
+                                          rng)
+        times = [20.0, 0.0, float(real.jump_times[0][0]), 7.5, 3.0]
+        many = real.positions_at_many(times)
+        assert many.shape == (len(times), real.M)
+        for row, t in zip(many, times):
+            assert np.array_equal(row, real.positions_at(t))
+            # reference: the sum of the steps taken by time t
+            assert list(row) == [
+                x + int(st[jt <= t].sum())
+                for x, jt, st in zip(real.x0, real.jump_times, real.steps)]
+        assert real.positions_at_many([]).shape == (0, real.M)
+
+    def test_streamed_queries_outside_the_horizon_raise(self, rng):
+        ps0 = ParticleState(np.array([0, 3]), np.array(["a", "b"]))
+        log = EventLog(np.array([1.0, 4.0]), np.array(["right", "left"]))
+        traj = lattice.run_true(ps0, log, 5.0, rng=rng)
+        assert isinstance(traj.realization, lattice.StreamedWalks)
+        for t in (-0.5, 5.5):
+            with pytest.raises(SimulationError):
+                traj.state_at(t)
+            with pytest.raises(SimulationError):
+                traj.realization.positions_at_many([1.0, t])
 
 
 class TestTrajectory:
