@@ -38,8 +38,8 @@ def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -95,9 +95,9 @@ def profile_from_config(cfg: dict) -> macro.ProfilePair:
     for key, entries in (("u_tent", ut), ("v_tent", vt)):
         if len(entries) != 3 or not all(
                 isinstance(x, (int, float)) and not isinstance(x, bool)
-                and -math.inf < x < math.inf for x in entries):
+                for x in entries):
             raise ConfigError(f"{key} must be [left, right, mass], "
-                              "three finite numbers")
+                              "three numbers")
     return macro.ProfilePair(grid, macro.tent(grid, *ut), macro.tent(grid, *vt))
 
 
@@ -176,9 +176,11 @@ def cmd_couple_verify(args, cfg: dict, out: Path) -> int:
     enum_cfg = optional(cfg, "exhaustive", dict, None)
     if enum_cfg is not None:
         rep = coupling.exhaustive_balance_check(
-            max_particles=optional(enum_cfg, "max_particles", int, 4),
-            n_sites=optional(enum_cfg, "n_sites", int, 4),
-            max_marks=optional(enum_cfg, "max_marks", int, 3))
+            max_particles=positive(optional(enum_cfg, "max_particles", int, 4),
+                                   "max_particles"),
+            n_sites=positive(optional(enum_cfg, "n_sites", int, 4), "n_sites"),
+            max_marks=nonnegative(optional(enum_cfg, "max_marks", int, 3),
+                                  "max_marks"))
         report["exhaustive"] = vars(rep)
         ok = ok and rep.ok
     sand_cfg = optional(cfg, "sandwich", dict, None)
@@ -341,7 +343,10 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory: {exc}") from exc
         status = COMMANDS[args.command](args, cfg, out)
         write_manifest(out, args, cfg, t0)
         return status

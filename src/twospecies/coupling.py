@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import (A, B, LEFT, RIGHT, EventLog, PositionRealization,
-                      SimConfig, in_X, rank_select, run_true, sample_clock,
-                      sample_initial, site_counts)
+from .lattice import (A, B, COLORS, LEFT, MARKS, RIGHT, EventLog,
+                      PositionRealization, SimConfig, as_codes, in_X,
+                      rank_select, run_true, sample_clock, sample_initial,
+                      site_counts)
 from .macro import ProfilePair
 
 
@@ -26,6 +27,11 @@ class CouplingError(ValueError):
 
 class SplittingFault(RuntimeError):
     """Splitting/state inconsistency that the case tables rule out."""
+
+
+def _names(codes, names: tuple[str, str]) -> tuple[str, ...]:
+    """Color or mark codes spelled out, for messages."""
+    return tuple(names[c] for c in codes)
 
 
 # ---------------------------------------------------------------------------
@@ -42,8 +48,9 @@ class CoupledState:
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=np.int64).copy()
-        self.sigma = np.asarray(self.sigma, dtype="<U1").copy()
-        self.sigma_prime = np.asarray(self.sigma_prime, dtype="<U1").copy()
+        self.sigma = as_codes(self.sigma, "sigma", COLORS, CouplingError).copy()
+        self.sigma_prime = as_codes(self.sigma_prime, "sigma'", COLORS,
+                                    CouplingError).copy()
         if not (len(self.positions) == len(self.sigma) == len(self.sigma_prime)):
             raise CouplingError("positions and both color arrays must align")
 
@@ -54,8 +61,8 @@ class CoupledState:
     def x(self, label: int) -> int:
         return int(self.positions[label - 1])
 
-    def spec(self, label: int) -> tuple[str, str]:
-        return str(self.sigma[label - 1]), str(self.sigma_prime[label - 1])
+    def spec(self, label: int) -> tuple[int, int]:
+        return int(self.sigma[label - 1]), int(self.sigma_prime[label - 1])
 
 
 @dataclass
@@ -63,7 +70,7 @@ class Splitting:
     """Quadruple (P, S, I, J): pairs, tagged singletons, discrepancies."""
 
     pairs: set[tuple[int, int]] = field(default_factory=set)
-    singles: dict[int, str] = field(default_factory=dict)
+    singles: dict[int, int] = field(default_factory=dict)
     disc_I: set[int] = field(default_factory=set)
     disc_J: set[int] = field(default_factory=set)
 
@@ -84,18 +91,23 @@ def check_splitting(spl: Splitting, cs: CoupledState) -> None:
         raise SplittingFault(f"not a partition of labels 1..{cs.M}: {sorted(members)}")
     for i, j in spl.pairs:
         if cs.spec(i) != (A, B) or cs.spec(j) != (B, A):
-            raise SplittingFault(f"pair ({i},{j}) has specs {cs.spec(i)}, {cs.spec(j)}")
+            raise SplittingFault(f"pair ({i},{j}) has specs "
+                                 f"{_names(cs.spec(i), COLORS)}, "
+                                 f"{_names(cs.spec(j), COLORS)}")
         if not cs.x(i) > cs.x(j):
             raise SplittingFault(f"pair ({i},{j}) violates x_{i} > x_{j}")
     for lab, tag in spl.singles.items():
         if cs.spec(lab) != (tag, tag):
-            raise SplittingFault(f"singleton {lab}:{tag} has spec {cs.spec(lab)}")
+            raise SplittingFault(f"singleton {lab}:{COLORS[tag]} has spec "
+                                 f"{_names(cs.spec(lab), COLORS)}")
     for lab in spl.disc_I:
         if cs.spec(lab) != (B, A):
-            raise SplittingFault(f"I-discrepancy {lab} has spec {cs.spec(lab)}")
+            raise SplittingFault(f"I-discrepancy {lab} has spec "
+                                 f"{_names(cs.spec(lab), COLORS)}")
     for lab in spl.disc_J:
         if cs.spec(lab) != (A, B):
-            raise SplittingFault(f"J-discrepancy {lab} has spec {cs.spec(lab)}")
+            raise SplittingFault(f"J-discrepancy {lab} has spec "
+                                 f"{_names(cs.spec(lab), COLORS)}")
 
 
 # ---------------------------------------------------------------------------
@@ -162,16 +174,7 @@ def build_splitting(cs: CoupledState, exchange_copy: int = 2) -> Splitting:
     # cancel opposite discrepancies sharing a site by a same-site color swap
     for x in list(ab):
         while ab.get(x) and ba.get(x):
-            i = ab[x].pop()
-            k = ba[x].pop()
-            if exchange_copy == 2:
-                cs.sigma_prime[i - 1], cs.sigma_prime[k - 1] = A, B
-                spl.singles[i] = A
-                spl.singles[k] = B
-            else:
-                cs.sigma[i - 1], cs.sigma[k - 1] = B, A
-                spl.singles[i] = B
-                spl.singles[k] = A
+            _dissolve_pair(spl, cs, (ab[x].pop(), ba[x].pop()), exchange_copy)
 
     # marry the rest scanning sites from the right; the order hypothesis
     # guarantees an unmatched (a,b) label strictly to the right of each (b,a)
@@ -194,8 +197,9 @@ def build_splitting(cs: CoupledState, exchange_copy: int = 2) -> Splitting:
 
 def _dissolve_pair(spl: Splitting, cs: CoupledState, pr: tuple[int, int],
                    exchange_copy: int) -> None:
-    """Turn one same-site pair into two singletons by a color swap in the
-    chosen copy; mutates spl in place.  I, J untouched."""
+    """Turn one same-site pair, (a,b) label first, into two singletons by a
+    color swap in the chosen copy; mutates spl in place and drops pr from
+    its pairs if it is there.  I, J untouched."""
     i, j = pr
     spl.pairs.discard(pr)
     if exchange_copy == 2:
@@ -220,77 +224,65 @@ def dissolve_collisions(spl: Splitting, cs: CoupledState,
 
 
 # ---------------------------------------------------------------------------
-# pair lookup
+# C-maps.  Each applies the flip to its copy and updates the splitting.  A
+# 'left' flip is the mirror image of a 'right' one (x -> -x, a <-> b, each
+# pair reversed, I <-> J), so one body serves both marks and reads the
+# mirror as values.
 
 
-def _pair_with_first(spl: Splitting, lab: int) -> tuple[int, int] | None:
-    for pr in spl.pairs:
-        if pr[0] == lab:
-            return pr
-    return None
-
-
-def _pair_with_second(spl: Splitting, lab: int) -> tuple[int, int] | None:
-    for pr in spl.pairs:
-        if pr[1] == lab:
-            return pr
-    return None
-
-
-# ---------------------------------------------------------------------------
-# C-maps.  Each applies the flip to its copy and updates the splitting.
-
-
-def _select(positions: np.ndarray, colors: np.ndarray, mark: str, copy: int
+def _select(positions: np.ndarray, colors: np.ndarray, mark: int, copy: int
             ) -> int:
     """The label a flip recolors in one copy; the species must be present."""
     if mark not in (RIGHT, LEFT):
-        raise CouplingError(f"unknown mark {mark!r}")
+        raise CouplingError(f"mark must be {RIGHT} ('right') or {LEFT} "
+                            f"('left'), got {mark!r}")
     lab = rank_select(positions, colors, mark)
     if lab is None:
-        raise CouplingError(f"{mark} flip with no {A if mark == RIGHT else B}"
+        raise CouplingError(f"{MARKS[mark]} flip with no {COLORS[mark]}"
                             f"-particle in copy {copy}")
     return lab
 
 
-def apply_C1(spl: Splitting, cs: CoupledState, mark: str) -> Splitting:
+def _mirror(spl: Splitting, mark: int) -> tuple[int, set[int], set[int]]:
+    """The color a `mark` flip writes, the discrepancy set a copy-1 flip
+    under it opens (I for 'right', J for 'left') and the opposite set."""
+    if mark == RIGHT:
+        return B, spl.disc_I, spl.disc_J
+    return A, spl.disc_J, spl.disc_I
+
+
+def _pair_holding(spl: Splitting, lab: int, slot: int) -> tuple[int, int] | None:
+    """The pair with `lab` at position `slot` (0: the (a,b) label)."""
+    for pr in spl.pairs:
+        if pr[slot] == lab:
+            return pr
+    return None
+
+
+def apply_C1(spl: Splitting, cs: CoupledState, mark: int) -> Splitting:
     """Flip on copy 1 (may create a discrepancy)."""
     lab = _select(cs.positions, cs.sigma, mark, 1)
     out = spl.copy()
-    if mark == RIGHT:
-        cs.sigma[lab - 1] = B
-        pr = _pair_with_first(out, lab)
-        if pr is not None:                       # case (a): lab leaves its pair
-            out.pairs.discard(pr)
-            out.singles[lab] = B
-            out.disc_I.add(pr[1])
-        elif lab in out.singles:                 # case (b): singleton becomes I
-            del out.singles[lab]
-            out.disc_I.add(lab)
-        elif lab in out.disc_J:                  # case (c): J-discrepancy resolves
-            out.disc_J.discard(lab)
-            out.singles[lab] = B
-        else:
-            raise SplittingFault(f"no C1-right case matches label {lab}")
+    new, opens, closes = _mirror(out, mark)
+    cs.sigma[lab - 1] = new
+    # a copy-1 color a sits in a pair's first slot, b in its second
+    pr = _pair_holding(out, lab, 1 - new)
+    if pr is not None:                           # case (a): lab leaves its pair
+        out.pairs.discard(pr)
+        out.singles[lab] = new
+        opens.add(pr[new])
+    elif lab in out.singles:                     # case (b): singleton opens one
+        del out.singles[lab]
+        opens.add(lab)
+    elif lab in closes:                          # case (c): discrepancy resolves
+        closes.discard(lab)
+        out.singles[lab] = new
     else:
-        cs.sigma[lab - 1] = A
-        pr = _pair_with_second(out, lab)
-        if pr is not None:                       # case (a)
-            out.pairs.discard(pr)
-            out.singles[lab] = A
-            out.disc_J.add(pr[0])
-        elif lab in out.singles:                 # case (b)
-            del out.singles[lab]
-            out.disc_J.add(lab)
-        elif lab in out.disc_I:                  # case (c)
-            out.disc_I.discard(lab)
-            out.singles[lab] = A
-        else:
-            raise SplittingFault(f"no C1-left case matches label {lab}")
+        raise SplittingFault(f"no C1-{MARKS[mark]} case matches label {lab}")
     return out
 
 
-def apply_C2(spl: Splitting, cs: CoupledState, mark: str,
+def apply_C2(spl: Splitting, cs: CoupledState, mark: int,
              exchange_copy: int = 1) -> Splitting:
     """Flip on copy 2 (recovers discrepancies when I resp. J is nonempty).
 
@@ -301,76 +293,36 @@ def apply_C2(spl: Splitting, cs: CoupledState, mark: str,
     """
     lab = _select(cs.positions, cs.sigma_prime, mark, 2)
     out = spl.copy()
-    if mark == RIGHT:
-        cs.sigma_prime[lab - 1] = B
-        pr = _pair_with_second(out, lab)
-        if pr is not None:                       # case (a)
-            j = pr[0]
-            out.pairs.discard(pr)
-            out.singles[lab] = B
-            if out.disc_I:
-                k = max(out.disc_I)
-                out.disc_I.discard(k)
-                out.pairs.add((j, k))
-            else:
-                out.disc_J.add(j)
-        elif lab in out.singles:                 # case (b)
-            del out.singles[lab]
-            if out.disc_I:
-                k = max(out.disc_I)
-                out.disc_I.discard(k)
-                if cs.x(lab) > cs.x(k):
-                    out.pairs.add((lab, k))
-                elif exchange_copy == 1:  # same site: swap and keep singletons
-                    cs.sigma[lab - 1], cs.sigma[k - 1] = B, A
-                    out.singles[lab] = B
-                    out.singles[k] = A
-                else:
-                    cs.sigma_prime[lab - 1], cs.sigma_prime[k - 1] = A, B
-                    out.singles[lab] = A
-                    out.singles[k] = B
-            else:
-                out.disc_J.add(lab)
-        elif lab in out.disc_I:                  # case (c)
-            out.disc_I.discard(lab)
-            out.singles[lab] = B
-        else:
-            raise SplittingFault(f"no C2-right case matches label {lab}")
+    new, recovers, opens = _mirror(out, mark)
+    cs.sigma_prime[lab - 1] = new
+    # a copy-2 color a sits in a pair's second slot, b in its first
+    pr = _pair_holding(out, lab, new)
+    if pr is not None:                           # case (a): lab leaves its pair
+        out.pairs.discard(pr)
+        out.singles[lab] = new
+        partner = pr[1 - new]
+    elif lab in out.singles:                     # case (b): singleton
+        del out.singles[lab]
+        partner = lab
+    elif lab in recovers:                        # case (c): discrepancy resolves
+        recovers.discard(lab)
+        out.singles[lab] = new
+        return out
     else:
-        cs.sigma_prime[lab - 1] = A
-        pr = _pair_with_first(out, lab)
-        if pr is not None:                       # case (a)
-            j = pr[1]
-            out.pairs.discard(pr)
-            out.singles[lab] = A
-            if out.disc_J:
-                k = max(out.disc_J)
-                out.disc_J.discard(k)
-                out.pairs.add((k, j))
-            else:
-                out.disc_I.add(j)
-        elif lab in out.singles:                 # case (b)
-            del out.singles[lab]
-            if out.disc_J:
-                k = max(out.disc_J)
-                out.disc_J.discard(k)
-                if cs.x(k) > cs.x(lab):
-                    out.pairs.add((k, lab))
-                elif exchange_copy == 1:
-                    cs.sigma[lab - 1], cs.sigma[k - 1] = A, B
-                    out.singles[lab] = A
-                    out.singles[k] = B
-                else:
-                    cs.sigma_prime[lab - 1], cs.sigma_prime[k - 1] = B, A
-                    out.singles[lab] = B
-                    out.singles[k] = A
-            else:
-                out.disc_I.add(lab)
-        elif lab in out.disc_J:                  # case (c)
-            out.disc_J.discard(lab)
-            out.singles[lab] = A
-        else:
-            raise SplittingFault(f"no C2-left case matches label {lab}")
+        raise SplittingFault(f"no C2-{MARKS[mark]} case matches label {lab}")
+    if not recovers:
+        opens.add(partner)
+        return out
+    # marry the partner to the largest recovered label, which takes lab's slot
+    k = max(recovers)
+    recovers.discard(k)
+    pr = (partner, k) if new == B else (k, partner)
+    # in case (a) the rank selection keeps the pair ordered; in case (b) the
+    # partners may share a site
+    if cs.x(pr[0]) > cs.x(pr[1]):
+        out.pairs.add(pr)
+    else:
+        _dissolve_pair(out, cs, pr, exchange_copy)
     return out
 
 
@@ -382,7 +334,7 @@ def apply_C2(spl: Splitting, cs: CoupledState, mark: str,
 class BalanceStep:
     phase: str
     q: int
-    mark: str
+    mark: int
     n_pairs: int
     n_singles: int
     n_I: int
@@ -400,16 +352,6 @@ class BalanceReport:
     final_J: int
     final_order_ok: bool
     failure: str | None = None
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "ok": self.ok,
-            "final_I": self.final_I,
-            "final_J": self.final_J,
-            "final_order_ok": self.final_order_ok,
-            "failure": self.failure,
-            "steps": [vars(s) for s in self.steps],
-        }, indent=2)
 
 
 def marks_stay_in_X(h_a0: int, M: int, marks) -> bool:
@@ -436,7 +378,7 @@ def run_balance_history(cs: CoupledState, marks, mover=None,
     spl = build_splitting(cs)
     steps: list[BalanceStep] = []
 
-    def record(phase: str, q: int, mark: str, lhs: int, rhs: int) -> bool:
+    def record(phase: str, q: int, mark: int, lhs: int, rhs: int) -> bool:
         ok = lhs == rhs and lhs >= 0
         steps.append(BalanceStep(phase, q, mark, len(spl.pairs), len(spl.singles),
                                  len(spl.disc_I), len(spl.disc_J), lhs, rhs, ok))
@@ -537,8 +479,9 @@ def exhaustive_balance_check(max_particles: int = 4, n_sites: int = 4,
                                                   check_invariants=True)
                         n_runs += 1
                         if not rep.ok:
-                            msg = (f"x={xs} sigma={sigma} sigma'={sigma_p} "
-                                   f"marks={marks}: {rep.failure}")
+                            msg = (f"x={xs} sigma={_names(sigma, COLORS)} "
+                                   f"sigma'={_names(sigma_p, COLORS)} "
+                                   f"marks={_names(marks, MARKS)}: {rep.failure}")
                             return ExhaustiveReport(False, n_instances, n_runs,
                                                     n_skipped, msg)
     return ExhaustiveReport(True, n_instances, n_runs, n_skipped)
@@ -607,7 +550,7 @@ def couple_block(cs: CoupledState, real: PositionRealization, block: EventLog,
     if protocol not in ("early", "late"):
         raise CouplingError(f"protocol must be 'early' or 'late', got {protocol!r}")
     spl = build_splitting(cs, exchange_copy=exchange_copy)
-    rings = list(zip(block.times, block.marks))
+    rings = list(zip(block.times, block.marks.tolist()))
     if protocol == "early":
         for _, mark in rings:
             spl = apply_C1(spl, cs, mark)

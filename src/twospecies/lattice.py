@@ -3,7 +3,9 @@
 Particles perform independent continuous-time nearest-neighbor walks on the
 integers; an independent marked Poisson clock flips the rightmost a-particle
 to b (mark 'right') or the leftmost b-particle to a (mark 'left').  Labels
-are 1-based and stable along a trajectory.
+are 1-based and stable along a trajectory.  Colors and marks are int8
+codes: a = 0, b = 1, right = 0, left = 1, so mark m recolors species m to
+1 - m.
 """
 from __future__ import annotations
 
@@ -16,14 +18,30 @@ import numpy as np
 
 from .macro import GridSpec, ProfilePair, validate_class_U
 
-RIGHT = "right"
-LEFT = "left"
-A = "a"
-B = "b"
+A, B = 0, 1
+RIGHT, LEFT = 0, 1
+COLORS = ("a", "b")
+MARKS = ("right", "left")
 
 
 class SimulationError(ValueError):
     pass
+
+
+def as_codes(values, what: str, names: tuple[str, str], error: type[Exception]
+             ) -> np.ndarray:
+    """`values` as int8 codes, code k standing for names[k].
+
+    Anything but the integer codes 0 and 1 (strings, floats, bools, other
+    integers) raises `error`; the range is checked before the cast, so that
+    256 cannot wrap to 0.
+    """
+    arr = np.asarray(values)
+    if arr.size and (arr.dtype.kind not in "iu"
+                     or not np.all((arr == 0) | (arr == 1))):
+        raise error(f"{what} must be codes 0 ({names[0]!r}) or 1 "
+                    f"({names[1]!r}), got {arr.dtype} values")
+    return arr.astype(np.int8, copy=False)
 
 
 @dataclass(frozen=True)
@@ -72,13 +90,11 @@ class ParticleState:
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=np.int64)
-        self.colors = np.asarray(self.colors, dtype="<U1")
+        self.colors = as_codes(self.colors, "colors", COLORS, SimulationError)
         if self.positions.shape != self.colors.shape or self.positions.ndim != 1:
             raise SimulationError("positions and colors must be 1-d of equal length")
         if len(self.positions) < 1:
             raise SimulationError("need at least one particle")
-        if not np.all(np.isin(self.colors, [A, B])):
-            raise SimulationError("colors must be 'a' or 'b'")
 
     @property
     def M(self) -> int:
@@ -97,13 +113,11 @@ class EventLog:
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
-        self.marks = np.asarray(self.marks, dtype="<U5")
+        self.marks = as_codes(self.marks, "marks", MARKS, SimulationError)
         if self.times.shape != self.marks.shape:
             raise SimulationError("times and marks must have the same length")
         if len(self.times) and not np.all(np.diff(self.times) > 0):
             raise SimulationError("ring times must be strictly increasing")
-        if not np.all(np.isin(self.marks, [RIGHT, LEFT])):
-            raise SimulationError("marks must be 'right' or 'left'")
 
     def __len__(self) -> int:
         return len(self.times)
@@ -249,8 +263,8 @@ class _Walks:
 class PositionRealization(_Walks):
     """A stored realization of the independent walks on [0, t_end].
 
-    Keeping the whole realization lets the true and auxiliary color
-    evolutions (and coupled copies) run on identical positions.
+    Keeping the whole realization lets the true run and the coupled copies
+    of `coupling` run on identical positions, jump by jump.
     """
 
     def __init__(self, x0: np.ndarray, jump_times: list[np.ndarray],
@@ -339,40 +353,22 @@ def evolve_positions(ps: ParticleState, t0: float, t1: float,
 # rank selection and color flips
 
 
-def rank_select(positions: np.ndarray, colors: np.ndarray, mark: str) -> int | None:
+def rank_select(positions: np.ndarray, colors: np.ndarray, mark: int) -> int | None:
     """Label (1-based) of the particle a `mark` ring recolors: the rightmost
-    a-particle for 'right', the leftmost b-particle for 'left'.  Ties go to
-    the largest label; None if that species is absent."""
+    a-particle for RIGHT, the leftmost b-particle for LEFT.  Ties go to the
+    largest label; None if that species is absent."""
     if mark == RIGHT:
         color, sign = A, 1
     elif mark == LEFT:
         color, sign = B, -1
     else:
-        raise SimulationError(f"unknown mark {mark!r}")
+        raise SimulationError(f"mark must be {RIGHT} ('right') or {LEFT} "
+                              f"('left'), got {mark!r}")
     best = None
     for i, (x, c) in enumerate(zip(positions.tolist(), colors.tolist())):
         if c == color and (best is None or (sign * x, i) > best):
             best = (sign * x, i)
     return None if best is None else best[1] + 1
-
-
-def rightmost_a(ps: ParticleState) -> int | None:
-    """Label of the rightmost a-particle (largest label among ties), 1-based."""
-    return rank_select(ps.positions, ps.colors, RIGHT)
-
-
-def leftmost_b(ps: ParticleState) -> int | None:
-    """Label of the leftmost b-particle (largest label among ties), 1-based."""
-    return rank_select(ps.positions, ps.colors, LEFT)
-
-
-def apply_H(ps: ParticleState, mark: str) -> ParticleState:
-    """Flip the rank-selected particle's color; no-op if the species is absent."""
-    lab = rank_select(ps.positions, ps.colors, mark)
-    out = ps.copy()
-    if lab is not None:
-        out.colors[lab - 1] = B if mark == RIGHT else A
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -403,12 +399,12 @@ class TrueTrajectory:
         colors = initial.colors.copy()
         n = int(np.searchsorted(log.times, t_end, side="right"))
         ring_positions = realization.positions_at_many(log.times[:n])
-        for positions, mark in zip(ring_positions, log.marks[:n]):
+        for positions, mark in zip(ring_positions, log.marks[:n].tolist()):
             lab = rank_select(positions, colors, mark)
             if lab is None:
                 self.absent_flip_count += 1
             else:
-                colors[lab - 1] = B if mark == RIGHT else A
+                colors[lab - 1] = 1 - mark
             self._colors_after.append(colors.copy())
 
     def state_at(self, t: float) -> ParticleState:
@@ -442,9 +438,17 @@ def run_true(ps: ParticleState, log: EventLog, t_end: float,
 # occupation bookkeeping
 
 
-def site_counts(positions: np.ndarray, colors: np.ndarray, color: str = A
+def _check_color(color: int) -> None:
+    # compared with int8 colors, a string such as "a" would match nothing
+    if color not in (A, B):
+        raise SimulationError(f"color must be {A} ('a') or {B} ('b'), "
+                              f"got {color!r}")
+
+
+def site_counts(positions: np.ndarray, colors: np.ndarray, color: int = A
                 ) -> dict[int, int]:
     """Number of `color` particles at each occupied site."""
+    _check_color(color)
     out: dict[int, int] = {}
     for x, c in zip(positions, colors):
         if c == color:
@@ -505,9 +509,10 @@ def scaled_tail(occ_counts: Mapping[int, int], r: float, eps: float) -> float:
     return eps * tail_mass(occ_counts, x)
 
 
-def scaled_tail_curve(ps: ParticleState, color: str, rs: np.ndarray, eps: float
+def scaled_tail_curve(ps: ParticleState, color: int, rs: np.ndarray, eps: float
                       ) -> np.ndarray:
     """eps-scaled tail masses of one color evaluated at macroscopic points."""
+    _check_color(color)
     pos = np.sort(eps * ps.positions[ps.colors == color].astype(float))
     n = len(pos)
     idx = np.searchsorted(pos, np.asarray(rs) - 1e-12, side="left")

@@ -481,8 +481,10 @@ def repair_lower(p: ProfilePair, m: float, m0: float | None = None) -> ProfilePa
 
 def tent(grid: GridSpec, left: float, right: float, mass: float = 1.0) -> np.ndarray:
     """Triangle bump supported on (left, right), scaled to the given mass."""
-    if not left < right:
-        raise ProfileError("need left < right for a tent")
+    if not -np.inf < left < right < np.inf:
+        raise ProfileError("need finite edges with left < right for a tent")
+    if not 0 <= mass < np.inf:
+        raise ProfileError("tent mass must be nonnegative and finite")
     r = grid.nodes()
     mid = 0.5 * (left + right)
     half = 0.5 * (right - left)

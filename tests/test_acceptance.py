@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from twospecies import coupling, fbp, lattice, macro
+from twospecies.lattice import A, B
 from twospecies.macro import tail_integral, tent_pair
 
 
@@ -31,7 +32,10 @@ def test_exhaustive_balance_identities():
     report = coupling.exhaustive_balance_check(max_particles=4, n_sites=4,
                                                max_marks=3)
     assert report.ok, report.first_failure
-    assert report.n_runs > 0
+    # the counts of bench/reference.json: a drift in the enumeration order or
+    # its filters shows here
+    assert (report.n_instances, report.n_runs,
+            report.n_skipped_depleting) == (2250, 15250, 18500)
 
 
 def test_pathwise_sandwich():
@@ -138,8 +142,8 @@ def test_total_mass_follows_the_heat_equation():
         rng_init, _, rng_walk = replica_streams(cfg.seed, rep)
         ps = lattice.sample_initial(profile, cfg, rng_init)
         st = lattice.evolve_positions(ps, 0.0, cfg.micro_horizon, rng_walk)
-        acc += (lattice.scaled_tail_curve(st, "a", rs, epsilon)
-                + lattice.scaled_tail_curve(st, "b", rs, epsilon))
+        acc += (lattice.scaled_tail_curve(st, A, rs, epsilon)
+                + lattice.scaled_tail_curve(st, B, rs, epsilon))
     sup_dev = float(np.max(np.abs(acc / n_seeds - ref)))
     assert sup_dev <= 0.05, sup_dev
 
@@ -155,7 +159,7 @@ def _empirical_a_tails(epsilon, kappa, t, n_seeds, seed, rs):
         log = lattice.sample_clock(cfg, rng_clock)
         traj = lattice.run_true(ps0, log, cfg.micro_horizon, rng=rng_walk)
         st = traj.state_at(cfg.micro_horizon)
-        curves[rep] = lattice.scaled_tail_curve(st, "a", rs, epsilon)
+        curves[rep] = lattice.scaled_tail_curve(st, A, rs, epsilon)
     return curves
 
 

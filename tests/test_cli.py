@@ -164,6 +164,14 @@ class TestUsageErrors:
         ("barriers", {"kappa": 0.5, "delta": 0.05, "horizon_T": 0.1,
                       "profile": dict(TENT_PROFILE,
                                       u_tent=[-1.0, float("inf"), 1.0])}),
+        ("couple-verify", {"exhaustive": {"max_particles": 0, "n_sites": 0,
+                                          "max_marks": -5}}),
+        ("couple-verify", {"exhaustive": {"max_particles": 2, "n_sites": 0,
+                                          "max_marks": 1}}),
+        ("couple-verify", {"exhaustive": {"max_particles": 2, "n_sites": 2,
+                                          "max_marks": -1}}),
+        ("simulate", dict(SIM_CFG, profile=dict(TENT_PROFILE,
+                                                v_tent=[-0.5, 1.0, -1.0]))),
     ])
     def test_bad_value_is_a_usage_error(self, tmp_path, command, cfg):
         code, _ = run(tmp_path, command, cfg)
@@ -184,6 +192,20 @@ class TestUsageErrors:
     def test_missing_required_key(self, tmp_path):
         code, _ = run(tmp_path, "simulate", {"epsilon": 0.1})
         assert code == 2
+
+    def test_config_that_is_a_directory(self, tmp_path, capsys):
+        code = main(["simulate", "--config", str(tmp_path),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_out_that_is_a_file(self, tmp_path, capsys):
+        cfg_path = write_cfg(tmp_path, "s.json", SIM_CFG)
+        out = tmp_path / "taken"
+        out.write_text("")
+        code = main(["simulate", "--config", cfg_path, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_nonpositive_seeds(self, tmp_path):
         cfg_path = write_cfg(tmp_path, "s.json", SIM_CFG)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from twospecies import lattice, macro
-from twospecies.lattice import (EventLog, ParticleState, PositionRealization,
-                                SimConfig, SimulationError)
+from twospecies.lattice import (A, B, LEFT, RIGHT, EventLog, ParticleState,
+                                PositionRealization, SimConfig,
+                                SimulationError)
 
 
 def cfg_small(**kw):
@@ -42,7 +43,7 @@ class TestSampling:
         cfg = cfg_small(epsilon=0.07)
         ps = lattice.sample_initial(profile, cfg, rng)
         assert ps.M == int(np.floor(profile.total_mass / cfg.epsilon))
-        assert set(np.unique(ps.colors)) <= {"a", "b"}
+        assert set(np.unique(ps.colors)) <= {A, B}
         r = cfg.epsilon * ps.positions
         assert r.min() >= profile.grid.r_min - cfg.epsilon
         assert r.max() <= profile.grid.r_max + cfg.epsilon
@@ -55,7 +56,7 @@ class TestSampling:
             gen = np.random.default_rng(
                 np.random.SeedSequence(3, spawn_key=(rep,)))
             ps = lattice.sample_initial(profile, cfg, gen)
-            counts.append(int(np.sum(ps.colors == "a")))
+            counts.append(int(np.sum(ps.colors == A)))
         mean = np.mean(counts)
         se = np.std(counts, ddof=1) / np.sqrt(len(counts))
         assert abs(mean - 50.0) <= 5.0 * se + 1.0
@@ -90,41 +91,66 @@ class TestSampling:
 class TestEventLog:
     def test_restrict_is_left_open_right_closed(self):
         log = EventLog(np.array([1.0, 2.0, 3.0]),
-                       np.array(["right", "left", "right"]))
+                       np.array([RIGHT, LEFT, RIGHT]))
         block = log.restrict(1.0, 3.0)
         assert list(block.times) == [2.0, 3.0]
 
     def test_validation(self):
         with pytest.raises(SimulationError):
-            EventLog(np.array([2.0, 1.0]), np.array(["right", "left"]))
+            EventLog(np.array([2.0, 1.0]), np.array([RIGHT, LEFT]))
+
+    @pytest.mark.parametrize("marks", [["right", "left"], [RIGHT, 2],
+                                       [256, LEFT], [0.0, 1.0]])
+    def test_marks_other_than_the_two_codes_rejected(self, marks):
         with pytest.raises(SimulationError):
-            EventLog(np.array([1.0]), np.array(["up"]))
+            EventLog(np.array([1.0, 2.0]), np.array(marks))
+
+
+class TestCodes:
+    def test_colors_and_marks_are_int8(self, rng):
+        ps = lattice.sample_initial(macro.tent_pair(), cfg_small(), rng)
+        log = lattice.sample_clock(cfg_small(kappa=5.0), rng)
+        assert len(log) > 0
+        assert ps.colors.dtype == np.int8 and log.marks.dtype == np.int8
+        assert ParticleState(np.array([0, 1]), [A, B]).colors.dtype == np.int8
+
+    @pytest.mark.parametrize("colors", [["a", "b"], [A, 2], [256, B],
+                                        [True, False], [0.0, 1.0]])
+    def test_colors_other_than_the_two_codes_rejected(self, colors):
+        with pytest.raises(SimulationError):
+            ParticleState(np.array([0, 1]), np.array(colors))
+
+    @pytest.mark.parametrize("mark", ["right", 2])
+    def test_rank_select_rejects_unknown_marks(self, mark):
+        with pytest.raises(SimulationError):
+            lattice.rank_select(np.array([0]), np.array([A], np.int8), mark)
+
+    @pytest.mark.parametrize("color", ["a", 2])
+    def test_per_color_counts_reject_unknown_colors(self, color):
+        ps = ParticleState(np.array([0, 1]), np.array([A, B]))
+        with pytest.raises(SimulationError):
+            lattice.site_counts(ps.positions, ps.colors, color)
+        with pytest.raises(SimulationError):
+            lattice.scaled_tail_curve(ps, color, np.zeros(1), 0.1)
 
 
 class TestRankSelection:
     def test_rightmost_a_prefers_largest_label_on_ties(self):
-        ps = ParticleState(np.array([2, 2, 0]), np.array(["a", "a", "a"]))
-        assert lattice.rightmost_a(ps) == 2
+        ps = ParticleState(np.array([2, 2, 0]), np.array([A, A, A]))
+        assert lattice.rank_select(ps.positions, ps.colors, RIGHT) == 2
 
     def test_leftmost_b_prefers_largest_label_on_ties(self):
-        ps = ParticleState(np.array([0, 0, 1]), np.array(["b", "b", "b"]))
-        assert lattice.leftmost_b(ps) == 2
+        ps = ParticleState(np.array([0, 0, 1]), np.array([B, B, B]))
+        assert lattice.rank_select(ps.positions, ps.colors, LEFT) == 2
 
     def test_rank_selection_by_position(self):
-        ps = ParticleState(np.array([-1, 3, 0]), np.array(["a", "a", "b"]))
-        assert lattice.rightmost_a(ps) == 2
-        assert lattice.leftmost_b(ps) == 3
+        ps = ParticleState(np.array([-1, 3, 0]), np.array([A, A, B]))
+        assert lattice.rank_select(ps.positions, ps.colors, RIGHT) == 2
+        assert lattice.rank_select(ps.positions, ps.colors, LEFT) == 3
 
     def test_absent_species_returns_none(self):
-        ps = ParticleState(np.array([0, 1]), np.array(["a", "a"]))
-        assert lattice.leftmost_b(ps) is None
-
-    def test_apply_H_flip_and_noop(self):
-        ps = ParticleState(np.array([0, 1]), np.array(["a", "b"]))
-        flipped = lattice.apply_H(ps, "right")
-        assert list(flipped.colors) == ["b", "b"]
-        again = lattice.apply_H(flipped, "right")
-        assert list(again.colors) == ["b", "b"]
+        ps = ParticleState(np.array([0, 1]), np.array([A, A]))
+        assert lattice.rank_select(ps.positions, ps.colors, LEFT) is None
 
 
 class TestWalks:
@@ -146,13 +172,13 @@ class TestWalks:
         assert abs(mean_jumps - 50.0) <= 5.0 * np.sqrt(50.0 / 200)
 
     def test_evolve_positions_keeps_colors_and_time(self, rng):
-        ps = ParticleState(np.array([0, 1, 2]), np.array(["a", "b", "a"]))
+        ps = ParticleState(np.array([0, 1, 2]), np.array([A, B, A]))
         out = lattice.evolve_positions(ps, 0.0, 7.0, rng)
-        assert list(out.colors) == ["a", "b", "a"]
+        assert list(out.colors) == [A, B, A]
         assert out.time == 7.0
 
     def test_evolve_positions_time_mismatch(self, rng):
-        ps = ParticleState(np.array([0]), np.array(["a"]), time=1.0)
+        ps = ParticleState(np.array([0]), np.array([A]), time=1.0)
         with pytest.raises(SimulationError):
             lattice.evolve_positions(ps, 0.0, 2.0, rng)
 
@@ -196,8 +222,8 @@ class TestStreamedWalks:
         assert real.positions_at_many([]).shape == (0, real.M)
 
     def test_streamed_queries_outside_the_horizon_raise(self, rng):
-        ps0 = ParticleState(np.array([0, 3]), np.array(["a", "b"]))
-        log = EventLog(np.array([1.0, 4.0]), np.array(["right", "left"]))
+        ps0 = ParticleState(np.array([0, 3]), np.array([A, B]))
+        log = EventLog(np.array([1.0, 4.0]), np.array([RIGHT, LEFT]))
         traj = lattice.run_true(ps0, log, 5.0, rng=rng)
         assert isinstance(traj.realization, lattice.StreamedWalks)
         for t in (-0.5, 5.5):
@@ -213,31 +239,44 @@ class TestTrajectory:
         cfg = cfg_small(epsilon=0.1, kappa=1.0, horizon_T=0.5)
         ps0 = lattice.sample_initial(profile, cfg, rng)
         log = lattice.sample_clock(cfg, rng)
-        h_a0 = int(np.sum(ps0.colors == "a"))
+        h_a0 = int(np.sum(ps0.colors == A))
         if not lattice.in_X(h_a0, ps0.M, log, cfg.micro_horizon):
             pytest.skip("survival set missed at this seed")
         traj = lattice.run_true(ps0, log, cfg.micro_horizon, rng=rng)
         assert traj.absent_flip_count == 0
         for t in (0.0, cfg.micro_horizon / 3, cfg.micro_horizon):
             st = traj.state_at(t)
-            n_a = int(np.sum(st.colors == "a"))
+            n_a = int(np.sum(st.colors == A))
             assert (n_a, st.M - n_a) == lattice.color_counts_from_log(
                 h_a0, ps0.M, log, t)
 
     def test_state_at_is_cadlag_at_ring_times(self):
-        ps0 = ParticleState(np.array([0, 1]), np.array(["a", "b"]))
-        log = EventLog(np.array([1.0]), np.array(["right"]))
+        ps0 = ParticleState(np.array([0, 1]), np.array([A, B]))
+        log = EventLog(np.array([1.0]), np.array([RIGHT]))
         real = PositionRealization(ps0.positions, [np.array([])] * 2,
                                    [np.array([], dtype=np.int64)] * 2, 2.0)
         traj = lattice.run_true(ps0, log, 2.0, realization=real)
-        assert list(traj.state_at(0.999).colors) == ["a", "b"]
-        assert list(traj.state_at(1.0).colors) == ["b", "b"]
+        assert list(traj.state_at(0.999).colors) == [A, B]
+        assert list(traj.state_at(1.0).colors) == [B, B]
+
+    def test_flip_and_absent_species_noop(self):
+        ps0 = ParticleState(np.array([0, 1]), np.array([A, B]))
+        log = EventLog(np.array([1.0, 2.0, 3.0]),
+                       np.array([RIGHT, RIGHT, LEFT]))
+        real = PositionRealization(ps0.positions, [np.array([])] * 2,
+                                   [np.array([], dtype=np.int64)] * 2, 4.0)
+        traj = lattice.run_true(ps0, log, 4.0, realization=real)
+        assert list(traj.state_at(1.0).colors) == [B, B]
+        # the second 'right' finds no a-particle and changes nothing
+        assert list(traj.state_at(2.0).colors) == [B, B]
+        assert traj.absent_flip_count == 1
+        assert list(traj.state_at(3.0).colors) == [A, B]
 
     def test_in_X_tally(self):
-        log = EventLog(np.array([1.0, 2.0]), np.array(["right", "right"]))
+        log = EventLog(np.array([1.0, 2.0]), np.array([RIGHT, RIGHT]))
         assert not lattice.in_X(2, 4, log, 2.0)
         assert lattice.in_X(3, 4, log, 2.0)
-        left_log = EventLog(np.array([1.0]), np.array(["left"]))
+        left_log = EventLog(np.array([1.0]), np.array([LEFT]))
         assert not lattice.in_X(3, 4, left_log, 1.0)
 
 
@@ -255,20 +294,20 @@ class TestProfiles:
         ps = lattice.sample_initial(profile, cfg, rng)
         occ = lattice.occupation(ps)
         rs = np.linspace(-2.0, 2.0, 31)
-        curve = lattice.scaled_tail_curve(ps, "a", rs, cfg.epsilon)
+        curve = lattice.scaled_tail_curve(ps, A, rs, cfg.epsilon)
         pointwise = [lattice.scaled_tail(occ.xi, r, cfg.epsilon) for r in rs]
         assert np.allclose(curve, pointwise)
 
     def test_occupation_totals(self, rng):
         ps = ParticleState(np.array([0, 0, 1, 2]),
-                           np.array(["a", "b", "a", "b"]))
+                           np.array([A, B, A, B]))
         occ = lattice.occupation(ps)
         assert occ.total == 4
         assert occ.xi == {0: 1, 1: 1}
         assert occ.eta == {0: 1, 2: 1}
 
     def test_occupation_csv(self, tmp_path):
-        ps = ParticleState(np.array([0, 2]), np.array(["a", "b"]))
+        ps = ParticleState(np.array([0, 2]), np.array([A, B]))
         path = tmp_path / "occ.csv"
         lattice.write_occupation_csv(path, lattice.occupation(ps))
         lines = path.read_text().strip().splitlines()

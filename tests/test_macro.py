@@ -47,6 +47,14 @@ class TestGrids:
         with pytest.raises(ProfileError):
             ProfilePair(grid, -np.ones(5), np.ones(5))
 
+    @pytest.mark.parametrize("left, right, mass", [
+        (-1.0, np.inf, 1.0), (-np.inf, 1.0, 1.0), (np.nan, 1.0, 1.0),
+        (-1.0, 1.0, np.nan), (-1.0, 1.0, np.inf), (-1.0, 1.0, -1.0)])
+    def test_tent_rejects_nonfinite_edges_and_bad_masses(self, left, right,
+                                                         mass):
+        with pytest.raises(ProfileError):
+            macro.tent(GridSpec(-2.0, 2.0, 400), left, right, mass)
+
 
 class TestQuadrature:
     def test_tail_integral_of_constant(self):
