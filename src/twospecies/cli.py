@@ -47,6 +47,15 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+def _fits_float(val) -> bool:
+    """False for a JSON integer too large to convert to a float."""
+    try:
+        float(val)
+    except OverflowError:
+        return False
+    return True
+
+
 def require(cfg: dict, key: str, typ=None):
     if key not in cfg:
         raise ConfigError(f"missing config key {key!r}")
@@ -58,6 +67,8 @@ def require(cfg: dict, key: str, typ=None):
     if not isinstance(val, types) or (isinstance(val, bool)
                                       and bool not in types):
         raise ConfigError(f"config key {key!r} has wrong type")
+    if float in types and not _fits_float(val):
+        raise ConfigError(f"config key {key!r} is too large for a float")
     return val
 
 
@@ -95,9 +106,9 @@ def profile_from_config(cfg: dict) -> macro.ProfilePair:
     for key, entries in (("u_tent", ut), ("v_tent", vt)):
         if len(entries) != 3 or not all(
                 isinstance(x, (int, float)) and not isinstance(x, bool)
-                for x in entries):
+                and _fits_float(x) for x in entries):
             raise ConfigError(f"{key} must be [left, right, mass], "
-                              "three numbers")
+                              "three numbers that fit a float")
     return macro.ProfilePair(grid, macro.tent(grid, *ut), macro.tent(grid, *vt))
 
 

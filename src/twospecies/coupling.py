@@ -364,18 +364,17 @@ def marks_stay_in_X(h_a0: int, M: int, marks) -> bool:
     return True
 
 
-def run_balance_history(cs: CoupledState, marks, mover=None,
-                        check_invariants: bool = True) -> BalanceReport:
-    """Run m copy-1 flips then m copy-2 flips from a discrepancy-free
-    splitting, checking the balance identity after every step and the final
-    emptiness of both discrepancy sets.
+def _balance_history(cs: CoupledState, spl: Splitting, marks, mover
+                     ) -> BalanceReport:
+    """Run m copy-1 flips then m copy-2 flips from the discrepancy-free
+    splitting spl of cs, checking the splitting and the balance identity
+    after every step and the final emptiness of both discrepancy sets.
 
-    `mover`, if given, is called as mover(cs, spl, slot) between flips
+    `mover`, if not None, is called as mover(cs, spl, slot) between flips
     (slot = 0..m) and must return the new splitting; it models the walk
     transport with collision dissolutions.
     """
     m = len(marks)
-    spl = build_splitting(cs)
     steps: list[BalanceStep] = []
 
     def record(phase: str, q: int, mark: int, lhs: int, rhs: int) -> bool:
@@ -389,8 +388,7 @@ def run_balance_history(cs: CoupledState, marks, mover=None,
             if mover is not None:
                 spl = mover(cs, spl, q - 1)
             spl = apply_C1(spl, cs, marks[q - 1])
-            if check_invariants:
-                check_splitting(spl, cs)
+            check_splitting(spl, cs)
             n_r = sum(1 for mk in marks[:q] if mk == RIGHT)
             n_l = q - n_r
             if not record("C1", q, marks[q - 1], n_r - len(spl.disc_I),
@@ -401,8 +399,7 @@ def run_balance_history(cs: CoupledState, marks, mover=None,
             spl = mover(cs, spl, m)
         for q in range(1, m + 1):
             spl = apply_C2(spl, cs, marks[q - 1])
-            if check_invariants:
-                check_splitting(spl, cs)
+            check_splitting(spl, cs)
             n_r = sum(1 for mk in marks[q:] if mk == RIGHT)
             n_l = sum(1 for mk in marks[q:] if mk == LEFT)
             if not record("C2", m + q, marks[q - 1], n_r - len(spl.disc_I),
@@ -469,14 +466,17 @@ def exhaustive_balance_check(max_particles: int = 4, n_sites: int = 4,
                     if not dominates(xi_p, xi):
                         continue
                     n_instances += 1
+                    cs0 = CoupledState(positions, np.array(sigma),
+                                       np.array(sigma_p))
+                    spl0 = build_splitting(cs0)
                     for marks in _mark_sequences(max_marks):
                         if not marks_stay_in_X(h_a, M, marks):
                             n_skipped += 1
                             continue
-                        cs = CoupledState(positions, np.array(sigma),
-                                          np.array(sigma_p))
-                        rep = run_balance_history(cs, list(marks),
-                                                  check_invariants=True)
+                        cs = CoupledState(cs0.positions, cs0.sigma,
+                                          cs0.sigma_prime)
+                        rep = _balance_history(cs, spl0.copy(), list(marks),
+                                               None)
                         n_runs += 1
                         if not rep.ok:
                             msg = (f"x={xs} sigma={_names(sigma, COLORS)} "
@@ -518,19 +518,31 @@ class SandwichReport:
         }, indent=2)
 
 
-def _block_jump_events(real: PositionRealization, t_lo: float, t_hi: float
-                       ) -> list[tuple[float, int, int]]:
-    """(time, 1-based label, step) for every walk jump in (t_lo, t_hi]."""
-    ev: list[tuple[float, int, int]] = []
-    for i in range(real.M):
-        jt = real.jump_times[i]
-        lo = int(np.searchsorted(jt, t_lo, side="right"))
-        hi = int(np.searchsorted(jt, t_hi, side="right"))
-        st = real.steps[i]
-        for k in range(lo, hi):
-            ev.append((float(jt[k]), i + 1, int(st[k])))
-    ev.sort()
-    return ev
+def _first_meeting(real: PositionRealization, pr: tuple[int, int],
+                   s_lo: float, s_hi: float, x: np.ndarray
+                   ) -> tuple[float, int] | None:
+    """(time, label) of the first jump in (s_lo, s_hi] that puts the members
+    of pair pr on one site, or None.  Jumps are taken in (time, label, step)
+    order; x holds the positions at s_lo."""
+    i, j = pr
+    gap = int(x[i - 1] - x[j - 1])
+    spans = [(lab, *np.searchsorted(real.jump_times[lab - 1], (s_lo, s_hi),
+                                    side="right")) for lab in pr]
+    if sum(hi - lo for _, lo, hi in spans) < gap:
+        return None
+    times = np.concatenate([real.jump_times[lab - 1][lo:hi]
+                            for lab, lo, hi in spans])
+    steps = np.concatenate([real.steps[lab - 1][lo:hi]
+                            for lab, lo, hi in spans])
+    labels = np.repeat(pr, [hi - lo for _, lo, hi in spans])
+    order = np.lexsort((steps, labels, times))
+    # a jump of i moves the gap by its step, a jump of j against it
+    closing = np.where(labels == i, steps, -steps)[order]
+    hit = np.flatnonzero(gap + np.cumsum(closing) == 0)
+    if not len(hit):
+        return None
+    k = order[hit[0]]
+    return float(times[k]), int(labels[k])
 
 
 def couple_block(cs: CoupledState, real: PositionRealization, block: EventLog,
@@ -541,56 +553,53 @@ def couple_block(cs: CoupledState, real: PositionRealization, block: EventLog,
     'early' gives all of the block's flips to copy 1 at the block start
     (frozen positions) and lets copy 2 flip at the ring times during the
     motion; 'late' lets copy 1 flip at the ring times and gives copy 2 all
-    flips at the block end.  Pairs whose members collide are dissolved at the
-    collision jump via a same-site color swap in the chosen copy.
+    flips at the block end.  A pair is dissolved at the first meeting of
+    its members via a same-site color swap in the chosen copy.
 
-    cs must hold both copies at t_lo with copy 2 dominated by copy 1; it is
-    advanced to t_hi in place.
+    Between two rings the pairs change only by dissolution, so the walks
+    are read per alive pair and per interval between rings, never jump by
+    jump: the cost is pairs x rings per block.
+
+    cs must hold both copies at t_lo with copy 2 dominated by copy 1, and
+    its positions must be the realization at t_lo; it is advanced to t_hi
+    in place.
     """
     if protocol not in ("early", "late"):
         raise CouplingError(f"protocol must be 'early' or 'late', got {protocol!r}")
+    if len(block) and not t_lo < block.times[0] <= block.times[-1] <= t_hi:
+        raise CouplingError(f"ring times must lie in ({t_lo}, {t_hi}]")
+    times = np.concatenate([[t_lo], block.times, [t_hi]])
+    rows = real.positions_at_many(times)
+    if not np.array_equal(cs.positions, rows[0]):
+        raise SplittingFault("positions drifted from the stored realization")
     spl = build_splitting(cs, exchange_copy=exchange_copy)
-    rings = list(zip(block.times, block.marks.tolist()))
+    marks = block.marks.tolist()
     if protocol == "early":
-        for _, mark in rings:
+        for mark in marks:
             spl = apply_C1(spl, cs, mark)
 
-    events = _block_jump_events(real, t_lo, t_hi)
-    pair_of: dict[int, tuple[int, int]] = {}
-
-    def rebuild() -> None:
-        pair_of.clear()
+    for r in range(len(marks) + 1):
+        met = []
         for pr in spl.pairs:
-            pair_of[pr[0]] = pr
-            pair_of[pr[1]] = pr
-
-    rebuild()
-    ei = ri = 0
-    while ei < len(events) or ri < len(rings):
-        ring_next = (ri < len(rings)
-                     and (ei >= len(events) or rings[ri][0] < events[ei][0]))
-        if ring_next:
-            mark = rings[ri][1]
-            ri += 1
-            if protocol == "early":
-                spl = apply_C2(spl, cs, mark, exchange_copy=exchange_copy)
-            else:
-                spl = apply_C1(spl, cs, mark)
-            rebuild()
+            hit = _first_meeting(real, pr, times[r], times[r + 1], rows[r])
+            if hit is not None:
+                met.append((hit, pr))
+        for _, pr in sorted(met):
+            _dissolve_pair(spl, cs, pr, exchange_copy)
+        cs.positions[:] = rows[r + 1]
+        for i, j in spl.pairs:
+            if not cs.positions[i - 1] > cs.positions[j - 1]:
+                raise SplittingFault(f"pair ({i},{j}) crossed without meeting")
+        if r == len(marks):
+            break
+        if protocol == "early":
+            spl = apply_C2(spl, cs, marks[r], exchange_copy=exchange_copy)
         else:
-            _, lab, step = events[ei]
-            ei += 1
-            cs.positions[lab - 1] += step
-            pr = pair_of.get(lab)
-            if pr is not None and cs.positions[pr[0] - 1] == cs.positions[pr[1] - 1]:
-                _dissolve_pair(spl, cs, pr, exchange_copy)
-                del pair_of[pr[0]], pair_of[pr[1]]
+            spl = apply_C1(spl, cs, marks[r])
 
     if protocol == "late":
-        for _, mark in rings:
+        for mark in marks:
             spl = apply_C2(spl, cs, mark, exchange_copy=exchange_copy)
-    if not np.array_equal(cs.positions, real.positions_at(t_hi)):
-        raise SplittingFault("positions drifted from the stored realization")
     return spl
 
 

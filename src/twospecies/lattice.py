@@ -264,7 +264,8 @@ class PositionRealization(_Walks):
     """A stored realization of the independent walks on [0, t_end].
 
     Keeping the whole realization lets the true run and the coupled copies
-    of `coupling` run on identical positions, jump by jump.
+    of `coupling` run on identical positions; `coupling` reads the jumps of
+    married pairs between ring times to find where the partners meet.
     """
 
     def __init__(self, x0: np.ndarray, jump_times: list[np.ndarray],

@@ -172,6 +172,16 @@ class TestUsageErrors:
                                           "max_marks": -1}}),
         ("simulate", dict(SIM_CFG, profile=dict(TENT_PROFILE,
                                                 v_tent=[-0.5, 1.0, -1.0]))),
+        # JSON integers too large for a float
+        ("barriers", {"kappa": 0.5, "delta": 0.05, "horizon_T": 0.1,
+                      "profile": dict(TENT_PROFILE,
+                                      u_tent=[-1.0, 10**400, 1.0])}),
+        ("barriers", {"kappa": 10**400, "delta": 0.05, "horizon_T": 0.1}),
+        ("couple-verify", {"sandwich": dict(SIM_CFG, delta=0.25,
+                                            kappa=10**400)}),
+        ("couple-verify", {"sandwich": dict(SIM_CFG, delta=0.25,
+                                            horizon_T=10**400)}),
+        ("couple-verify", {"sandwich": dict(SIM_CFG, delta=10**400)}),
     ])
     def test_bad_value_is_a_usage_error(self, tmp_path, command, cfg):
         code, _ = run(tmp_path, command, cfg)

@@ -13,6 +13,81 @@ def cs_of(positions, sigma, sigma_prime):
                         np.array(sigma_prime))
 
 
+def reference_couple_block(cs, real, block, t_lo, t_hi, protocol,
+                           exchange_copy):
+    """couple_block as a replay of every walk jump in (time, label, step)
+    order, dissolving a pair at the jump that puts its members on one site:
+    the oracle for the interval-wise couple_block."""
+    spl = coupling.build_splitting(cs, exchange_copy=exchange_copy)
+    rings = list(zip(block.times, block.marks.tolist()))
+    if protocol == "early":
+        for _, mark in rings:
+            spl = coupling.apply_C1(spl, cs, mark)
+    events = []
+    for i in range(real.M):
+        jt = real.jump_times[i]
+        lo = int(np.searchsorted(jt, t_lo, side="right"))
+        hi = int(np.searchsorted(jt, t_hi, side="right"))
+        events += [(float(jt[k]), i + 1, int(real.steps[i][k]))
+                   for k in range(lo, hi)]
+    events.sort()
+    pair_of = {}
+
+    def rebuild():
+        pair_of.clear()
+        for pr in spl.pairs:
+            pair_of[pr[0]] = pr
+            pair_of[pr[1]] = pr
+
+    rebuild()
+    ei = ri = 0
+    while ei < len(events) or ri < len(rings):
+        if ri < len(rings) and (ei >= len(events)
+                                or rings[ri][0] < events[ei][0]):
+            mark = rings[ri][1]
+            ri += 1
+            if protocol == "early":
+                spl = coupling.apply_C2(spl, cs, mark,
+                                        exchange_copy=exchange_copy)
+            else:
+                spl = coupling.apply_C1(spl, cs, mark)
+            rebuild()
+        else:
+            _, lab, step = events[ei]
+            ei += 1
+            cs.positions[lab - 1] += step
+            pr = pair_of.get(lab)
+            if pr is not None and (cs.positions[pr[0] - 1]
+                                   == cs.positions[pr[1] - 1]):
+                coupling._dissolve_pair(spl, cs, pr, exchange_copy)
+                del pair_of[pr[0]], pair_of[pr[1]]
+    if protocol == "late":
+        for _, mark in rings:
+            spl = coupling.apply_C2(spl, cs, mark, exchange_copy=exchange_copy)
+    if not np.array_equal(cs.positions, real.positions_at(t_hi)):
+        raise SplittingFault("positions drifted from the stored realization")
+    return spl
+
+
+def block_outcome(run, cs, *args):
+    """Everything a couple_block call leaves, or the error it raises; cs is
+    not touched."""
+    cs = CoupledState(cs.positions, cs.sigma, cs.sigma_prime)
+    try:
+        spl = run(cs, *args)
+    except (CouplingError, SplittingFault) as exc:
+        return type(exc), str(exc)
+    return (spl.pairs, list(spl.singles.items()), spl.disc_I, spl.disc_J,
+            cs.positions.tolist(), cs.sigma.tolist(), cs.sigma_prime.tolist())
+
+
+def frozen_walks(x0, jumps, t_end):
+    """A PositionRealization from per-label lists of (time, step)."""
+    return lattice.PositionRealization(
+        np.array(x0), [np.array([t for t, _ in js], dtype=float) for js in jumps],
+        [np.array([st for _, st in js], dtype=np.int64) for js in jumps], t_end)
+
+
 def random_ordered_instance(rng, max_particles=5, n_sites=6):
     """Random positions with two matched colorings, the second dominated by
     the first (rejection sampled)."""
@@ -218,7 +293,8 @@ class TestCMaps:
 class TestBalance:
     def test_empty_mark_sequence_is_trivially_clean(self):
         cs = cs_of([0, 1], [B, A], [A, B])
-        report = coupling.run_balance_history(cs, [])
+        report = coupling._balance_history(
+            cs, coupling.build_splitting(cs), [], None)
         assert report.ok and not report.steps
 
     def test_identities_recorded_at_every_step(self, rng):
@@ -229,7 +305,8 @@ class TestBalance:
                 break
         marks = [RIGHT, LEFT] if h_a >= 2 else [LEFT, RIGHT]
         assert coupling.marks_stay_in_X(h_a, cs.M, marks)
-        report = coupling.run_balance_history(cs, marks)
+        report = coupling._balance_history(
+            cs, coupling.build_splitting(cs), marks, None)
         assert report.ok, report.failure
         assert len(report.steps) == 2 * len(marks)
         for step in report.steps:
@@ -257,7 +334,8 @@ class TestBalance:
                     spl = coupling.dissolve_collisions(spl, state)
                 return spl
 
-            report = coupling.run_balance_history(cs, marks, mover=mover)
+            report = coupling._balance_history(
+                cs, coupling.build_splitting(cs), marks, mover)
             assert report.ok, report.failure
         assert ran >= 100
 
@@ -266,6 +344,156 @@ class TestBalance:
                                                    max_marks=2)
         assert report.ok, report.first_failure
         assert report.n_runs > 0
+
+
+class TestCoupleBlock:
+    @pytest.mark.parametrize("protocol", ["early", "late"])
+    @pytest.mark.parametrize("exchange_copy", [1, 2])
+    def test_matches_the_jump_by_jump_reference(self, rng, protocol,
+                                                exchange_copy):
+        # a block inside a longer realization, rings partly at jump times
+        # (a jump at a ring's time comes before the ring's flip)
+        paired = 0
+        for _ in range(150):
+            M = int(rng.integers(2, 7))
+            real = lattice.PositionRealization.sample(
+                rng.integers(0, 4, size=M), 12.0, 1.0, rng)
+            t_lo, t_hi = 2.0, float(rng.uniform(4.0, 12.0))
+            x = real.positions_at(t_lo)
+            while True:
+                sigma = np.where(rng.random(M) < 0.5, A, B)
+                sigma_p = rng.permutation(sigma)
+                if coupling.dominates(coupling.site_counts(x, sigma_p),
+                                      coupling.site_counts(x, sigma)):
+                    break
+            h_a = int(np.sum(sigma == A))
+            while True:
+                n = int(rng.integers(0, 4))
+                marks = np.where(rng.random(n) < 0.5, RIGHT, LEFT)
+                if coupling.marks_stay_in_X(h_a, M, marks):
+                    break
+            jt = np.concatenate(real.jump_times)
+            jt = jt[(jt > t_lo) & (jt <= t_hi)]
+            times = np.where(rng.random(n) < 0.3, rng.choice(jt, n),
+                             rng.uniform(t_lo, t_hi, n))
+            if len(np.unique(times)) < n:
+                continue
+            order = np.argsort(times)
+            block = lattice.EventLog(times[order], marks)
+            cs = CoupledState(x, sigma, sigma_p)
+            args = (real, block, t_lo, t_hi, protocol, exchange_copy)
+            got = block_outcome(coupling.couple_block, cs, *args)
+            assert got == block_outcome(reference_couple_block, cs, *args)
+            paired += bool(coupling.build_splitting(cs).pairs)
+        assert paired >= 50
+
+    def test_matches_the_reference_along_the_sandwich(self, monkeypatch):
+        blocks = []
+        fast = coupling.couple_block
+
+        def both(cs, real, block, t_lo, t_hi, protocol, exchange_copy):
+            for ex in (1, 2):
+                args = (real, block, t_lo, t_hi, protocol, ex)
+                assert (block_outcome(fast, cs, *args)
+                        == block_outcome(reference_couple_block, cs, *args))
+            blocks.append(protocol)
+            return fast(cs, real, block, t_lo, t_hi, protocol, exchange_copy)
+
+        monkeypatch.setattr(coupling, "couple_block", both)
+        cfg = lattice.SimConfig(epsilon=0.1, kappa=1.0, horizon_T=1.0, seed=5)
+        report = coupling.verify_sandwich(cfg, macro.tent_pair(), 0.25, 15)
+        assert report.ok
+        assert blocks.count("early") == blocks.count("late") >= 40
+
+    def test_pair_dissolves_once_at_its_first_meeting(self, monkeypatch):
+        # label 2 meets label 1 at t=1, crosses it, meets it again at t=3
+        # and ends right of it, all between two rings
+        real = frozen_walks([1, 0], [[], [(1.0, 1), (2.0, 1), (3.0, -1),
+                                          (3.5, 1)]], 4.0)
+        assert coupling._first_meeting(real, (1, 2), 0.0, 4.0,
+                                       real.x0) == (1.0, 2)
+        dissolved = []
+        dissolve = coupling._dissolve_pair
+
+        def counting(spl, cs, pr, exchange_copy):
+            dissolved.append(pr)
+            dissolve(spl, cs, pr, exchange_copy)
+
+        monkeypatch.setattr(coupling, "_dissolve_pair", counting)
+        cs = cs_of([1, 0], [A, B], [B, A])
+        spl = coupling.couple_block(cs, real, lattice.EventLog([], []), 0.0,
+                                    4.0, "early", exchange_copy=2)
+        assert dissolved == [(1, 2)]
+        assert not spl.pairs and spl.singles == {1: A, 2: B}
+        assert list(cs.sigma_prime) == [A, B]
+        assert list(cs.positions) == [1, 2]
+
+    @pytest.mark.parametrize("x0, sigma, sigma_p, jumps, pairs", [
+        # label 1 steps away before label 2 steps onto its site
+        ([1, 0], [A, B], [B, A], [[(1.0, 1)], [(1.0, 1)]], {(1, 2)}),
+        # label 1 steps onto label 2's site before label 2 steps away
+        ([0, 1], [B, A], [A, B], [[(1.0, 1)], [(1.0, 1)]], set()),
+        # label 2's down-step comes before its up-step
+        ([1, 0], [A, B], [B, A], [[], [(1.0, 1), (1.0, -1)]], {(1, 2)}),
+    ])
+    def test_simultaneous_jumps_in_time_label_step_order(
+            self, x0, sigma, sigma_p, jumps, pairs):
+        real = frozen_walks(x0, jumps, 2.0)
+        args = (real, lattice.EventLog([], []), 0.0, 2.0, "early", 2)
+        cs = cs_of(x0, sigma, sigma_p)
+        got = block_outcome(coupling.couple_block, cs, *args)
+        assert got == block_outcome(reference_couple_block, cs, *args)
+        assert got[0] == pairs
+
+    @pytest.mark.parametrize("meets", [True, False])
+    def test_pair_married_at_a_ring_meets_before_the_next(self, meets):
+        # copy 1's flip at the start opens I = {1}; by the ring at t=1
+        # label 2 is the rightmost a of copy 2, so its flip marries (2, 1);
+        # label 2 then steps back onto label 1 before t=2, or does not
+        back = [(1.5, -1)] if meets else []
+        real = frozen_walks([2, 0, -5],
+                            [[], [(0.2, 1), (0.4, 1), (0.6, 1)] + back, []],
+                            2.0)
+        block = lattice.EventLog([1.0], [RIGHT])
+        cs = cs_of([2, 0, -5], [A, A, B], [A, A, B])
+        spl = coupling.couple_block(cs, real, block, 0.0, 2.0, "early",
+                                    exchange_copy=1)
+        assert not spl.disc_I and not spl.disc_J
+        if meets:
+            assert not spl.pairs
+            assert spl.singles == {3: B, 2: B, 1: A}
+            assert list(cs.sigma) == list(cs.sigma_prime) == [A, B, B]
+            assert list(cs.positions) == [2, 2, -5]
+        else:
+            assert spl.pairs == {(2, 1)}
+            assert list(cs.positions) == [2, 3, -5]
+        coupling.check_splitting(spl, cs)
+
+    def test_pair_whose_members_do_not_jump(self):
+        real = frozen_walks([1, 0, 5], [[], [], [(0.5, -1), (1.0, -1),
+                                                 (2.5, 1)]], 3.0)
+        block = lattice.EventLog([2.0], [RIGHT])
+        cs = cs_of([1, 0, 5], [A, B, A], [B, A, A])
+        spl = coupling.couple_block(cs, real, block, 0.0, 3.0, "late",
+                                    exchange_copy=2)
+        assert spl.pairs == {(1, 2)}
+        assert list(cs.positions) == [1, 0, 4]
+        coupling.check_splitting(spl, cs)
+
+    def test_entry_positions_off_the_realization(self):
+        real = frozen_walks([1, 0, 5], [[], [], [(0.5, -1), (1.0, -1)]], 3.0)
+        cs = cs_of([2, 1, 6], [A, B, A], [B, A, A])
+        with pytest.raises(SplittingFault, match="drifted"):
+            coupling.couple_block(cs, real, lattice.EventLog([], []), 0.0,
+                                  3.0, "early", exchange_copy=1)
+
+    @pytest.mark.parametrize("ring", [0.0, 3.5])
+    def test_rings_outside_the_block_rejected(self, ring):
+        real = frozen_walks([1, 0], [[], []], 4.0)
+        cs = cs_of([1, 0], [A, B], [B, A])
+        with pytest.raises(CouplingError, match="ring times"):
+            coupling.couple_block(cs, real, lattice.EventLog([ring], [LEFT]),
+                                  0.0, 3.0, "late", exchange_copy=2)
 
 
 class TestSandwich:
