@@ -9,15 +9,17 @@ Subcommands:
 
 Every run writes manifest.json and report.json (plus CSVs) into --out.
 Exit status: 0 on pass, 1 on a detected violation, 2 on usage or config
-errors.
+errors, 3 on an unexpected error (its traceback goes to stderr).
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import numbers
 import sys
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -28,6 +30,11 @@ from . import __version__, coupling, fbp, lattice, macro
 
 class ConfigError(Exception):
     pass
+
+
+# Seeds are integers of any size, since SeedSequence takes big integers;
+# every other integer key is a count or size that numpy takes as an int64.
+SEED = numbers.Integral
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +76,8 @@ def require(cfg: dict, key: str, typ=None):
         raise ConfigError(f"config key {key!r} has wrong type")
     if float in types and not _fits_float(val):
         raise ConfigError(f"config key {key!r} is too large for a float")
+    if types == (int,) and not -2**63 <= val < 2**63:
+        raise ConfigError(f"config key {key!r} does not fit an int64")
     return val
 
 
@@ -117,7 +126,7 @@ def sim_config(cfg: dict) -> lattice.SimConfig:
         epsilon=require(cfg, "epsilon", (int, float)),
         kappa=require(cfg, "kappa", (int, float)),
         horizon_T=require(cfg, "horizon_T", (int, float)),
-        seed=nonnegative(require(cfg, "seed", int), "seed"),
+        seed=nonnegative(require(cfg, "seed", SEED), "seed"),
     )
 
 
@@ -255,7 +264,7 @@ def cmd_fbp(args, cfg: dict, out: Path) -> int:
     if mc_cfg is not None:
         rng = np.random.default_rng(
             np.random.SeedSequence(
-                nonnegative(optional(mc_cfg, "seed", int, 0), "mc.seed")))
+                nonnegative(optional(mc_cfg, "seed", SEED, 0), "mc.seed")))
         z_max = optional(mc_cfg, "z_max", (int, float), 4.0)
         t = require(mc_cfg, "t", (int, float))
         n_paths = positive(require(mc_cfg, "n_paths", int), "n_paths")
@@ -364,6 +373,10 @@ def main(argv=None) -> int:
     except (ConfigError, macro.ProfileError, lattice.SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        # neither a verdict nor a usage error: exit 1 would read as a violation
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -203,8 +203,8 @@ def _walk_draws(t_end: float, rate: float, rng: np.random.Generator
                 ) -> tuple[np.ndarray, np.ndarray]:
     """One particle's jump times in (0, t_end] and up-step flags.
 
-    The one walk sampler: stored and streamed walks both draw through it,
-    so they consume the generator identically.
+    The sampler of `PositionRealization.sample`, the stored realization
+    that `coupling` reads jump by jump.
     """
     expected = max(int(rate * t_end * 1.3) + 16, 16)
     ts: list[np.ndarray] = []
@@ -218,18 +218,13 @@ def _walk_draws(t_end: float, rate: float, rng: np.random.Generator
     return all_t, rng.random(len(all_t)) < 0.5
 
 
-def _stream_positions(x0: np.ndarray, t_end: float, rate: float,
-                      rng: np.random.Generator, times: np.ndarray) -> np.ndarray:
-    """Positions at `times` (rows) of freshly drawn walks, one particle's
-    draw held at a time."""
-    out = np.empty((len(times), len(x0)), dtype=np.int64)
-    for i, x in enumerate(x0):
-        jt, up = _walk_draws(t_end, rate, rng)
-        k = np.searchsorted(jt, times, side="right")
-        # after k jumps, n of them up: x + n - (k - n)
-        n_up = np.concatenate([[0], np.cumsum(up)])[k]
-        out[:, i] = x + 2 * n_up - k
-    return out
+def _increments(mean_jumps: float, M: int, rng: np.random.Generator
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Jump counts and up-step counts of M independent walks over one time
+    gap: n ~ Poisson(mean_jumps), then Binomial(n, 1/2) of them up, so the
+    displacement is 2 * ups - n."""
+    n = rng.poisson(mean_jumps, size=M)
+    return n, rng.binomial(n, 0.5)
 
 
 class _Walks:
@@ -300,13 +295,23 @@ class PositionRealization(_Walks):
 
 
 class StreamedWalks(_Walks):
-    """The walks of `PositionRealization.sample`, kept only at given times.
+    """Independent walks on [0, t_end] drawn only at the times read.
 
-    Draws from `rng` exactly what `PositionRealization.sample` draws, but
-    reduces each particle's draw at once to its positions at `times` and
-    at t_end, so memory is O(M * len(times)) instead of O(M * rate * t_end).
-    Any other query time is answered by replaying the draw from the
-    generator state saved before it; `rng` itself is not touched again.
+    A walk's law at fixed times needs no jump times: over a gap of length
+    dt a particle makes Poisson(rate * dt) jumps, half of them up on
+    average (`_increments`).  The gaps between 0, `times` and t_end are
+    drawn this way from `rng` at construction, and each walk's position and
+    jump count are kept at each of these known times, so memory and work
+    are O(M * len(times)), not O(M * rate * t_end).
+
+    A query strictly inside a gap draws from the exact bridge between its
+    known neighbours: of the gap's n jumps, Binomial(n, f) fall before it
+    (f the fraction of the gap before it), and the up-steps among those are
+    hypergeometric.  The query then becomes a known time, so a repeated
+    query returns the same positions and a later one in the same gap
+    bridges between its nearest known neighbours.  Bridge draws come from
+    a child stream taken from `rng` at construction; `rng` itself is not
+    touched again.
     """
 
     def __init__(self, x0: np.ndarray, t_end: float, rate: float,
@@ -314,29 +319,46 @@ class StreamedWalks(_Walks):
         self.x0 = np.asarray(x0, dtype=np.int64)
         self.t_end = float(t_end)
         self.rate = float(rate)
-        self._bit_generator = type(rng.bit_generator)
-        self._state = rng.bit_generator.state
-        self._times = np.union1d(self._query_times(times), [self.t_end])
-        self._positions = _stream_positions(self.x0, self.t_end, self.rate,
-                                            rng, self._times)
+        self._times = np.union1d(self._query_times(times), [0.0, self.t_end])
+        # row k: positions, and jumps made on [0, _times[k]]
+        self._positions = np.empty((len(self._times), self.M), dtype=np.int64)
+        self._jumps = np.zeros_like(self._positions)
+        self._positions[0] = self.x0
+        for k, dt in enumerate(np.diff(self._times)):
+            n, ups = _increments(self.rate * dt, self.M, rng)
+            self._positions[k + 1] = self._positions[k] + 2 * ups - n
+            self._jumps[k + 1] = self._jumps[k] + n
+        self._bridge_rng = np.random.default_rng(rng.integers(2**63))
 
     def positions_at_many(self, times) -> np.ndarray:
         times = self._query_times(times)
-        k = np.minimum(np.searchsorted(self._times, times), len(self._times) - 1)
-        if np.array_equal(self._times[k], times):
-            return self._positions[k]
-        bit_generator = self._bit_generator()
-        bit_generator.state = self._state
-        return _stream_positions(self.x0, self.t_end, self.rate,
-                                 np.random.Generator(bit_generator), times)
+        for t in np.setdiff1d(times, self._times):
+            self._bridge(t)
+        return self._positions[np.searchsorted(self._times, times)]
+
+    def _bridge(self, t: float) -> None:
+        """Make t, strictly between two known times, a known time."""
+        k = int(np.searchsorted(self._times, t))
+        t_lo, t_hi = self._times[k - 1], self._times[k]
+        n = self._jumps[k] - self._jumps[k - 1]
+        ups = (n + self._positions[k] - self._positions[k - 1]) // 2
+        n_before = self._bridge_rng.binomial(n, (t - t_lo) / (t_hi - t_lo))
+        ups_before = self._bridge_rng.hypergeometric(ups, n - ups, n_before)
+        self._times = np.insert(self._times, k, t)
+        self._positions = np.insert(
+            self._positions, k,
+            self._positions[k - 1] + 2 * ups_before - n_before, axis=0)
+        self._jumps = np.insert(self._jumps, k,
+                                self._jumps[k - 1] + n_before, axis=0)
 
 
 def evolve_positions(ps: ParticleState, t0: float, t1: float,
                      rng: np.random.Generator, walk_rate: float = 1.0) -> ParticleState:
     """Transport positions over [t0, t1]; colors untouched.
 
-    Samples the net displacement directly: jump counts are Poisson with mean
-    walk_rate*(t1-t0) and each jump is +-1 with probability 1/2.
+    Samples the net displacement directly, one gap of `_increments`: jump
+    counts are Poisson with mean walk_rate*(t1-t0) and each jump is +-1
+    with probability 1/2.
     """
     if abs(ps.time - t0) > 1e-9:
         raise SimulationError(f"state time {ps.time} != t0 = {t0}")
@@ -345,9 +367,9 @@ def evolve_positions(ps: ParticleState, t0: float, t1: float,
     tau = t1 - t0
     if tau == 0:
         return replace(ps.copy(), time=t1)
-    n = rng.poisson(walk_rate * tau, size=ps.M)
-    disp = 2 * rng.binomial(n, 0.5) - n
-    return ParticleState(ps.positions + disp, ps.colors.copy(), time=t1)
+    n, ups = _increments(walk_rate * tau, ps.M, rng)
+    return ParticleState(ps.positions + 2 * ups - n, ps.colors.copy(),
+                         time=t1)
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +445,9 @@ def run_true(ps: ParticleState, log: EventLog, t_end: float,
              walk_rate: float = 1.0) -> TrueTrajectory:
     """Build the trajectory sampler; pass a realization to reuse positions.
 
-    With only an rng the walks are streamed (`StreamedWalks`): they are
-    kept at the ring times and t_end, never stored whole.
+    With only an rng the walks are streamed (`StreamedWalks`): their jump
+    and up-step counts are drawn per gap between the ring times and t_end,
+    O(M) integers per ring, and no jump is drawn one by one.
     """
     if realization is None:
         if rng is None:

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from twospecies import cli
 from twospecies.cli import main
 
 
@@ -53,6 +54,11 @@ class TestSimulate:
 
     def test_custom_profile_block(self, tmp_path):
         code, _ = run(tmp_path, "simulate", dict(SIM_CFG, profile=TENT_PROFILE))
+        assert code == 0
+
+    def test_seed_beyond_int64(self, tmp_path):
+        # SeedSequence takes integers of any size
+        code, _ = run(tmp_path, "simulate", dict(SIM_CFG, seed=10**400))
         assert code == 0
 
 
@@ -128,6 +134,18 @@ class TestHydroCompare:
         report = json.loads((out / "report.json").read_text())
         assert report["t_eval"] == 0.1
 
+    def test_threading_does_not_change_results(self, tmp_path):
+        cfg = {"epsilon": 0.05, "kappa": 1.0, "horizon_T": 0.1, "seed": 3,
+               "delta_ref": 0.02}
+        cfg_path = write_cfg(tmp_path, "hydro.json", cfg)
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"out_threads{threads}"
+            assert main(["hydro-compare", "--config", cfg_path, "--out",
+                         str(out), "--seeds", "4", "--threads", threads]) == 0
+            runs.append(json.loads((out / "report.json").read_text())["runs"])
+        assert runs[0] == runs[1]
+
     def test_t_eval_past_the_horizon_is_a_config_error(self, tmp_path):
         cfg = {"epsilon": 0.1, "kappa": 1.0, "horizon_T": 0.1, "seed": 2,
                "t_eval": 0.2, "delta_ref": 0.02}
@@ -182,6 +200,11 @@ class TestUsageErrors:
         ("couple-verify", {"sandwich": dict(SIM_CFG, delta=0.25,
                                             horizon_T=10**400)}),
         ("couple-verify", {"sandwich": dict(SIM_CFG, delta=10**400)}),
+        # JSON integers too large for an int64 in an int key
+        ("fbp", {"kappa": 0.5, "delta": 0.05, "horizon_T": 0.1,
+                 "mc": {"t": 0.1, "n_paths": 10**400}}),
+        ("simulate", dict(SIM_CFG, profile=dict(
+            TENT_PROFILE, grid=dict(TENT_PROFILE["grid"], n_cells=10**400)))),
     ])
     def test_bad_value_is_a_usage_error(self, tmp_path, command, cfg):
         code, _ = run(tmp_path, command, cfg)
@@ -222,6 +245,17 @@ class TestUsageErrors:
         code = main(["simulate", "--config", cfg_path,
                      "--out", str(tmp_path / "o"), "--seeds", "0"])
         assert code == 2
+
+    def test_unexpected_error_has_its_own_status(self, tmp_path, capsys,
+                                                 monkeypatch):
+        def broken(args, cfg, out):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli.COMMANDS, "simulate", broken)
+        code, _ = run(tmp_path, "simulate", SIM_CFG)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RuntimeError: boom" in err
 
     def test_unknown_command(self, tmp_path):
         with pytest.raises(SystemExit):

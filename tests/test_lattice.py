@@ -1,5 +1,6 @@
 """Microscopic event-driven simulation: sampling, flips, trajectories."""
-import copy
+import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -183,28 +184,135 @@ class TestWalks:
             lattice.evolve_positions(ps, 0.0, 2.0, rng)
 
 
+def skellam_pmf(k: int, mean_jumps: float) -> float:
+    """P(X = k) = e^-t I_k(t), t = mean_jumps, for the displacement X of a
+    walk making Poisson(t) jumps of +-1: Poisson(t/2) up-steps minus an
+    independent Poisson(t/2) down-steps, summed over the down-steps m."""
+    k, half = abs(k), mean_jumps / 2.0
+    m_max = int(half + 12.0 * math.sqrt(half) + 30)
+    return sum(math.exp((2 * m + k) * math.log(half) - mean_jumps
+                        - math.lgamma(m + 1) - math.lgamma(m + k + 1))
+               for m in range(m_max))
+
+
+# every statistical check below is two-sided at this level
+LEVEL = 1e-4
+Z = NormalDist().inv_cdf(1.0 - LEVEL / 2.0)
+
+
+def assert_skellam(disp: np.ndarray, mean_jumps: float) -> None:
+    """Mean 0, variance mean_jumps and the Skellam histogram (chi-square,
+    bins with at least 5 expected, tails pooled, critical value by the
+    Wilson-Hilferty approximation)."""
+    n = len(disp)
+    assert abs(disp.mean()) <= Z * math.sqrt(mean_jumps / n)
+    # fourth cumulant of the Skellam law is mean_jumps too
+    var_se = math.sqrt((mean_jumps + 2.0 * mean_jumps**2) / n)
+    assert abs(disp.var(ddof=1) - mean_jumps) <= Z * var_se
+    ks = np.arange(-int(8 * math.sqrt(mean_jumps)) - 10,
+                   int(8 * math.sqrt(mean_jumps)) + 11)
+    expected = n * np.array([skellam_pmf(int(k), mean_jumps) for k in ks])
+    keep = expected >= 5.0
+    observed = np.array([np.count_nonzero(disp == k) for k in ks[keep]])
+    expected = expected[keep]
+    lo, hi = ks[keep][0], ks[keep][-1]
+    observed = np.append(observed, np.count_nonzero((disp < lo) | (disp > hi)))
+    expected = np.append(expected, n - expected.sum())
+    chi2 = float(np.sum((observed - expected) ** 2 / expected))
+    df = len(observed) - 1
+    z = NormalDist().inv_cdf(1.0 - LEVEL)
+    crit = df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3
+    assert chi2 <= crit, (chi2, crit, df)
+
+
+def assert_uncorrelated(x: np.ndarray, y: np.ndarray) -> None:
+    assert abs(np.corrcoef(x, y)[0, 1]) <= Z / math.sqrt(len(x))
+
+
 class TestStreamedWalks:
-    @pytest.mark.parametrize("epsilon", [0.1, 0.02])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_streamed_run_matches_the_stored_one(self, epsilon, seed):
-        cfg = cfg_small(epsilon=epsilon, seed=seed)
+    M, RATE, T_END = 20000, 1.5, 12.0
+
+    def walks(self, seed, rings, rng=None):
+        x0 = np.random.default_rng(seed).integers(-50, 50, size=self.M)
+        if rng is None:
+            rng = np.random.default_rng(np.random.SeedSequence(seed))
+        return lattice.StreamedWalks(x0, self.T_END, self.RATE, rng, rings)
+
+    def test_displacements_follow_the_exact_law(self):
+        walks = self.walks(5, [4.0, 10.0])
+        x = walks.positions_at_many([0.0, 4.0, 10.0, self.T_END])
+        assert np.array_equal(x[0], walks.x0)
+        steps = np.diff(x, axis=0)
+        for step, dt in zip(steps, (4.0, 6.0, 2.0)):
+            assert_skellam(step, self.RATE * dt)
+        assert_uncorrelated(steps[0], steps[1])
+        assert_uncorrelated(steps[1], steps[2])
+
+    def test_off_ring_query_is_an_exact_bridge(self):
+        rng = np.random.default_rng(np.random.SeedSequence(6))
+        walks = self.walks(6, [2.0, 8.0], rng)
+        rng_state = rng.bit_generator.state
+        t = self.T_END / 3
+        x_t = walks.positions_at(t)
+        # the marginal at t, and the two pieces of the gap (2, 8) it splits
+        assert_skellam(x_t - walks.x0, self.RATE * t)
+        x_lo, x_hi = walks.positions_at_many([2.0, 8.0])
+        assert_skellam(x_t - x_lo, self.RATE * (t - 2.0))
+        assert_skellam(x_hi - x_t, self.RATE * (8.0 - t))
+        assert_uncorrelated(x_t - x_lo, x_hi - x_t)
+        # memoised: a repeated query, alone or among others, returns the same
+        assert np.array_equal(walks.positions_at(t), x_t)
+        many = walks.positions_at_many([1.0, t, 5.0, t, 9.0])
+        assert np.array_equal(many[1], x_t) and np.array_equal(many[3], x_t)
+        # later queries bridge between their nearest known neighbours:
+        # parity and reach hold between every two consecutive known times
+        assert list(walks._times) == [0.0, 1.0, 2.0, t, 5.0, 8.0, 9.0,
+                                      self.T_END]
+        steps = np.diff(walks.positions_at_many(walks._times), axis=0)
+        jumps = np.diff(walks._jumps, axis=0)
+        assert np.all(np.abs(steps) <= jumps)
+        assert np.all((steps - jumps) % 2 == 0)
+        # bridge draws come from a child stream, not from the caller's rng
+        assert rng.bit_generator.state == rng_state
+
+    def test_bridge_draws_are_deterministic_per_seed(self):
+        a, b = self.walks(7, [3.0]), self.walks(7, [3.0])
+        for t in (self.T_END / 3, 1.0, 11.5):
+            assert np.array_equal(a.positions_at(t), b.positions_at(t))
+
+    @pytest.mark.parametrize("epsilon, kappa, seed", [
+        (0.1, 1.0, 0), (0.02, 1.0, 1), (0.1, 20.0, 2), (0.05, 10.0, 3)])
+    def test_colors_follow_the_ring_positions(self, epsilon, kappa, seed):
+        cfg = cfg_small(epsilon=epsilon, kappa=kappa, seed=seed)
         rng = cfg.rng()
         ps0 = lattice.sample_initial(macro.tent_pair(), cfg, rng)
         log = lattice.sample_clock(cfg, rng)
-        t_end = cfg.micro_horizon
-        g1, g2 = rng, copy.deepcopy(rng)
-        streamed = lattice.run_true(ps0, log, t_end, rng=g1)
-        real = PositionRealization.sample(ps0.positions, t_end, 1.0, g2)
-        stored = lattice.run_true(ps0, log, t_end, realization=real)
-        assert g1.bit_generator.state == g2.bit_generator.state
-        assert streamed.absent_flip_count == stored.absent_flip_count
-        rings = log.times[log.times <= t_end]
-        assert len(rings) > 0
-        # ring times and t_end are kept; 0 and t_end / 3 are replayed
-        for t in (0.0, *rings, t_end / 3, t_end):
-            a, b = streamed.state_at(float(t)), stored.state_at(float(t))
-            assert np.array_equal(a.positions, b.positions), t
-            assert np.array_equal(a.colors, b.colors), t
+        traj = lattice.run_true(ps0, log, cfg.micro_horizon, rng=rng)
+        assert len(log) > 0
+        rows = traj.realization.positions_at_many(log.times)
+        colors, absent = ps0.colors.copy(), 0
+        for t, positions, mark in zip(log.times, rows, log.marks):
+            lab = lattice.rank_select(positions, colors, mark)
+            if lab is None:
+                absent += 1
+            else:
+                colors[lab - 1] = 1 - mark
+            st = traj.state_at(float(t))
+            assert np.array_equal(st.positions, positions)
+            assert np.array_equal(st.colors, colors)
+        assert traj.absent_flip_count == absent
+
+    @pytest.mark.parametrize("rate, tau", [(1.0, 0.3), (2.0, 2.5),
+                                           (1.5, 25.0), (0.5, 2500.0)])
+    def test_evolve_positions_draws_are_unchanged(self, rate, tau):
+        ps = ParticleState(np.arange(-20, 20), np.tile([A, B], 20), time=1.0)
+        g1, g2 = (np.random.default_rng(np.random.SeedSequence(9))
+                  for _ in range(2))
+        out = lattice.evolve_positions(ps, 1.0, 1.0 + tau, g1, walk_rate=rate)
+        # the formula the sampler has always used, written out
+        n = g2.poisson(rate * tau, size=ps.M)
+        disp = 2 * g2.binomial(n, 0.5) - n
+        assert np.array_equal(out.positions, ps.positions + disp)
         assert g1.bit_generator.state == g2.bit_generator.state
 
     def test_positions_at_many_stacks_positions_at(self, rng):
