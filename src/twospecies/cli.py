@@ -54,13 +54,10 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _fits_float(val) -> bool:
-    """False for a JSON integer too large to convert to a float."""
-    try:
-        float(val)
-    except OverflowError:
-        return False
-    return True
+def _finite(val) -> bool:
+    """False for NaN, an infinity (JSON `NaN`, `Infinity`) or an integer
+    too large for a float."""
+    return abs(val) <= sys.float_info.max
 
 
 def require(cfg: dict, key: str, typ=None):
@@ -74,8 +71,8 @@ def require(cfg: dict, key: str, typ=None):
     if not isinstance(val, types) or (isinstance(val, bool)
                                       and bool not in types):
         raise ConfigError(f"config key {key!r} has wrong type")
-    if float in types and not _fits_float(val):
-        raise ConfigError(f"config key {key!r} is too large for a float")
+    if float in types and not _finite(val):
+        raise ConfigError(f"config key {key!r} must be a finite number")
     if types == (int,) and not -2**63 <= val < 2**63:
         raise ConfigError(f"config key {key!r} does not fit an int64")
     return val
@@ -115,9 +112,9 @@ def profile_from_config(cfg: dict) -> macro.ProfilePair:
     for key, entries in (("u_tent", ut), ("v_tent", vt)):
         if len(entries) != 3 or not all(
                 isinstance(x, (int, float)) and not isinstance(x, bool)
-                and _fits_float(x) for x in entries):
+                and _finite(x) for x in entries):
             raise ConfigError(f"{key} must be [left, right, mass], "
-                              "three numbers that fit a float")
+                              "three finite numbers")
     return macro.ProfilePair(grid, macro.tent(grid, *ut), macro.tent(grid, *vt))
 
 
@@ -172,8 +169,7 @@ def cmd_simulate(args, cfg: dict, out: Path) -> int:
         traj = lattice.run_true(ps0, log, scfg.micro_horizon, rng=rng_walk,
                                 walk_rate=scfg.walk_rate)
         final = traj.state_at(scfg.micro_horizon)
-        lattice.write_occupation_csv(out / f"occupation_seed{rep}.csv",
-                                     lattice.occupation(final))
+        lattice.write_occupation_csv(out / f"occupation_seed{rep}.csv", final)
         emp = lattice.empirical_profile(final, scfg, profile.grid)
         macro.profile_to_csv(emp, out / f"empirical_seed{rep}.csv")
         h_a0 = int(np.sum(ps0.colors == lattice.A))

@@ -16,8 +16,7 @@ import numpy as np
 
 from .lattice import (A, B, COLORS, LEFT, MARKS, RIGHT, EventLog,
                       PositionRealization, SimConfig, as_codes, in_X,
-                      rank_select, run_true, sample_clock, sample_initial,
-                      site_counts)
+                      rank_select, run_true, sample_clock, sample_initial)
 from .macro import ProfilePair
 
 
@@ -111,27 +110,30 @@ def check_splitting(spl: Splitting, cs: CoupledState) -> None:
 
 
 # ---------------------------------------------------------------------------
-# tail-mass order on site counts
+# tail-mass order of two colorings of one set of positions
 
 
-def dominates(xi_prime: dict[int, int], xi: dict[int, int]) -> bool:
-    """True iff the tail masses of xi_prime never exceed those of xi."""
-    gap, _ = order_witness(xi_prime, xi)
-    return gap <= 0
-
-
-def order_witness(xi_prime: dict[int, int], xi: dict[int, int]
+def order_witness(positions: np.ndarray, lo: np.ndarray, hi: np.ndarray
                   ) -> tuple[int, int | None]:
-    """Max over sites of F(x; xi') - F(x; xi) with an attaining site."""
-    sites = sorted(set(xi_prime) | set(xi))
-    best, best_site = 0, None
-    t_p = sum(xi_prime.values())
-    t = sum(xi.values())
-    for x in sites:
-        if t_p - t > best:
-            best, best_site = t_p - t, x
-        t_p -= xi_prime.get(x, 0)
-        t -= xi.get(x, 0)
+    """Max over sites x of F(x; lo) - F(x; hi), where F(x; c) counts the
+    a-particles of coloring c at sites >= x, with the leftmost site holding
+    an a-particle of either coloring that attains it; (0, None) when lo is
+    dominated by hi.
+
+    One pass over the particles nets the a-count differences per such site
+    (kept even when its net is 0, since it can be the witness), and a scan
+    from the right sums them.  Pure Python: the exhaustive check calls this
+    with M <= 4, where numpy's per-call cost outweighs the work.
+    """
+    net: dict[int, int] = {}
+    for x, c_lo, c_hi in zip(positions.tolist(), lo.tolist(), hi.tolist()):
+        if c_lo == A or c_hi == A:
+            net[x] = net.get(x, 0) + (c_lo == A) - (c_hi == A)
+    best, best_site, excess = 0, None, 0
+    for x in sorted(net, reverse=True):
+        excess += net[x]
+        if excess > 0 and excess >= best:
+            best, best_site = excess, x
     return best, best_site
 
 
@@ -153,9 +155,7 @@ def build_splitting(cs: CoupledState, exchange_copy: int = 2) -> Splitting:
     h_a_p = int(np.sum(cs.sigma_prime == A))
     if h_a != h_a_p:
         raise CouplingError(f"a-counts differ: {h_a} vs {h_a_p}")
-    xi = site_counts(cs.positions, cs.sigma)
-    xi_p = site_counts(cs.positions, cs.sigma_prime)
-    gap, site = order_witness(xi_p, xi)
+    gap, site = order_witness(cs.positions, cs.sigma_prime, cs.sigma)
     if gap > 0:
         raise CouplingError(f"order hypothesis fails at site {site} (excess {gap})")
 
@@ -410,8 +410,7 @@ def _balance_history(cs: CoupledState, spl: Splitting, marks, mover
         return BalanceReport(False, steps, len(spl.disc_I), len(spl.disc_J),
                              False, str(exc))
 
-    final_order = dominates(site_counts(cs.positions, cs.sigma_prime),
-                            site_counts(cs.positions, cs.sigma))
+    final_order = order_witness(cs.positions, cs.sigma_prime, cs.sigma)[0] == 0
     ok = not spl.disc_I and not spl.disc_J and final_order
     failure = None
     if spl.disc_I or spl.disc_J:
@@ -454,20 +453,18 @@ def exhaustive_balance_check(max_particles: int = 4, n_sites: int = 4,
 
     n_instances = n_runs = n_skipped = 0
     for M in range(1, max_particles + 1):
+        colorings = [(s, np.array(s)) for s in product((A, B), repeat=M)]
         for xs in combinations_with_replacement(range(n_sites), M):
             positions = np.array(xs, dtype=np.int64)
-            for sigma in product((A, B), repeat=M):
+            for sigma, sigma_arr in colorings:
                 h_a = sigma.count(A)
-                for sigma_p in product((A, B), repeat=M):
-                    if sigma_p.count(A) != h_a:
-                        continue
-                    xi = site_counts(positions, np.array(sigma))
-                    xi_p = site_counts(positions, np.array(sigma_p))
-                    if not dominates(xi_p, xi):
+                for sigma_p, sigma_p_arr in colorings:
+                    if (sigma_p.count(A) != h_a
+                            or order_witness(positions, sigma_p_arr,
+                                             sigma_arr)[0]):
                         continue
                     n_instances += 1
-                    cs0 = CoupledState(positions, np.array(sigma),
-                                       np.array(sigma_p))
+                    cs0 = CoupledState(positions, sigma_arr, sigma_p_arr)
                     spl0 = build_splitting(cs0)
                     for marks in _mark_sequences(max_marks):
                         if not marks_stay_in_X(h_a, M, marks):
@@ -639,15 +636,14 @@ def verify_sandwich(cfg: SimConfig, profile: ProfilePair, delta: float,
         for k in range(K + 1):
             t_k = k * block_len
             true_k = traj.state_at(t_k)
-            xi_true = site_counts(true_k.positions, true_k.colors)
-            xi_plus = site_counts(true_k.positions, plus_colors)
-            xi_minus = site_counts(true_k.positions, minus_colors)
-            n_a = sum(xi_true.values())
-            if (sum(xi_plus.values()) != n_a or sum(xi_minus.values()) != n_a):
+            n_a = np.count_nonzero(true_k.colors == A)
+            if (np.count_nonzero(plus_colors == A) != n_a
+                    or np.count_nonzero(minus_colors == A) != n_a):
                 counts_mismatch += 1
-            for lo, hi, tag in ((xi_minus, xi_true, "postponed<=true"),
-                                (xi_true, xi_plus, "true<=anticipated")):
-                gap, site = order_witness(lo, hi)
+            for lo, hi, tag in ((minus_colors, true_k.colors, "postponed<=true"),
+                                (true_k.colors, plus_colors,
+                                 "true<=anticipated")):
+                gap, site = order_witness(true_k.positions, lo, hi)
                 if gap > 0:
                     n_violations += 1
                     violations.append(

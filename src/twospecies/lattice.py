@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, replace
-from typing import Mapping
 
 import numpy as np
 
@@ -126,18 +125,6 @@ class EventLog:
         """Rings with t_lo < s <= t_hi."""
         sel = (self.times > t_lo) & (self.times <= t_hi)
         return EventLog(self.times[sel], self.marks[sel])
-
-
-@dataclass
-class OccupationPair:
-    """Per-site counts by color; xi counts a-particles, eta b-particles."""
-
-    xi: dict[int, int]
-    eta: dict[int, int]
-
-    @property
-    def total(self) -> int:
-        return sum(self.xi.values()) + sum(self.eta.values())
 
 
 # ---------------------------------------------------------------------------
@@ -459,35 +446,7 @@ def run_true(ps: ParticleState, log: EventLog, t_end: float,
 
 
 # ---------------------------------------------------------------------------
-# occupation bookkeeping
-
-
-def _check_color(color: int) -> None:
-    # compared with int8 colors, a string such as "a" would match nothing
-    if color not in (A, B):
-        raise SimulationError(f"color must be {A} ('a') or {B} ('b'), "
-                              f"got {color!r}")
-
-
-def site_counts(positions: np.ndarray, colors: np.ndarray, color: int = A
-                ) -> dict[int, int]:
-    """Number of `color` particles at each occupied site."""
-    _check_color(color)
-    out: dict[int, int] = {}
-    for x, c in zip(positions, colors):
-        if c == color:
-            out[int(x)] = out.get(int(x), 0) + 1
-    return out
-
-
-def occupation(ps: ParticleState) -> OccupationPair:
-    return OccupationPair(site_counts(ps.positions, ps.colors, A),
-                          site_counts(ps.positions, ps.colors, B))
-
-
-def tail_mass(counts: Mapping[int, int], x: int) -> int:
-    """Sum of counts over sites >= x."""
-    return sum(c for y, c in counts.items() if y >= x)
+# color counts
 
 
 def color_counts_from_log(h_a0: int, M: int, log: EventLog, t: float) -> tuple[int, int]:
@@ -527,16 +486,13 @@ def empirical_profile(ps: ParticleState, cfg: SimConfig, grid: GridSpec) -> Prof
     return ProfilePair(grid, u, v)
 
 
-def scaled_tail(occ_counts: Mapping[int, int], r: float, eps: float) -> float:
-    """eps * (number of counted particles at sites y >= r/eps)."""
-    x = int(np.ceil(r / eps - 1e-12))
-    return eps * tail_mass(occ_counts, x)
-
-
 def scaled_tail_curve(ps: ParticleState, color: int, rs: np.ndarray, eps: float
                       ) -> np.ndarray:
     """eps-scaled tail masses of one color evaluated at macroscopic points."""
-    _check_color(color)
+    # compared with int8 colors, a string such as "a" would match nothing
+    if color not in (A, B):
+        raise SimulationError(f"color must be {A} ('a') or {B} ('b'), "
+                              f"got {color!r}")
     pos = np.sort(eps * ps.positions[ps.colors == color].astype(float))
     n = len(pos)
     idx = np.searchsorted(pos, np.asarray(rs) - 1e-12, side="left")
@@ -547,10 +503,13 @@ def scaled_tail_curve(ps: ParticleState, color: int, rs: np.ndarray, eps: float
 # CSV export
 
 
-def write_occupation_csv(path, occ: OccupationPair) -> None:
-    sites = sorted(set(occ.xi) | set(occ.eta))
+def write_occupation_csv(path, ps: ParticleState) -> None:
+    """Occupation numbers of ps, one row per occupied site in increasing
+    order: xi counts its a-particles, eta its b-particles."""
+    sites, site_of = np.unique(ps.positions, return_inverse=True)
+    total = np.bincount(site_of, minlength=len(sites))
+    xi = np.bincount(site_of[ps.colors == A], minlength=len(sites))
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["site", "xi", "eta"])
-        for s in sites:
-            wr.writerow([s, occ.xi.get(s, 0), occ.eta.get(s, 0)])
+        wr.writerows(zip(sites.tolist(), xi.tolist(), (total - xi).tolist()))

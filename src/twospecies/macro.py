@@ -396,6 +396,9 @@ def barrier_step(p: ProfilePair, delta: float, kappa: float, variant: str) -> Pr
 
 def step_count(T: float, delta: float) -> int:
     """Number of steps of size delta that reach T; T must be a multiple."""
+    if not (math.isfinite(T) and math.isfinite(delta) and delta > 0):
+        raise ProfileError(f"T={T} and delta={delta} must be finite, "
+                           "delta positive")
     n = int(round(T / delta))
     if abs(n * delta - T) > 1e-9 * max(T, 1.0):
         raise ProfileError(f"T={T} is not a multiple of delta={delta}")
@@ -423,16 +426,6 @@ def order_gap(p1: ProfilePair, p2: ProfilePair) -> tuple[float, float]:
     gaps = f1 - f2
     i = int(np.argmax(gaps))
     return float(gaps[i]), float(rs[i])
-
-
-def order_mod_m(p1: ProfilePair, p2: ProfilePair, m: float) -> bool:
-    """True iff the u-tail of p1 never exceeds that of p2 by more than m."""
-    gap, _ = order_gap(p1, p2)
-    return gap <= m
-
-
-def dominated_by(p1: ProfilePair, p2: ProfilePair, tol: float = 0.0) -> bool:
-    return order_mod_m(p1, p2, tol)
 
 
 # ---------------------------------------------------------------------------

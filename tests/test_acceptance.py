@@ -112,13 +112,13 @@ def test_repair_operators_bound_the_order_defect(rng):
         except macro.RepairError:
             continue
         checked += 1
-        assert macro.dominated_by(p1, upper, tol=1e-9)
-        assert macro.dominated_by(p2, upper, tol=1e-9)
+        assert macro.order_gap(p1, upper)[0] <= 1e-9
+        assert macro.order_gap(p2, upper)[0] <= 1e-9
         s1 = macro.barrier_step(p1, delta, kappa, "plus")
         s2 = macro.barrier_step(p2, delta, kappa, "plus")
-        assert macro.order_mod_m(s1, s2, 2.0 * m + 1e-8)
-        assert macro.dominated_by(lower, p1, tol=1e-9)
-        assert macro.dominated_by(lower, p2, tol=1e-9)
+        assert macro.order_gap(s1, s2)[0] <= 2.0 * m + 1e-8
+        assert macro.order_gap(lower, p1)[0] <= 1e-9
+        assert macro.order_gap(lower, p2)[0] <= 1e-9
 
 
 def aligned_points(epsilon, r_lo, r_hi):

@@ -205,10 +205,23 @@ class TestUsageErrors:
                  "mc": {"t": 0.1, "n_paths": 10**400}}),
         ("simulate", dict(SIM_CFG, profile=dict(
             TENT_PROFILE, grid=dict(TENT_PROFILE["grid"], n_cells=10**400)))),
+        # JSON NaN in a float key
+        ("hydro-compare", {"epsilon": 0.1, "kappa": 1.0, "horizon_T": 0.1,
+                           "seed": 2, "t_eval": float("nan"),
+                           "delta_ref": 0.02}),
+        ("fbp", {"kappa": 0.5, "delta": 0.05, "horizon_T": 0.1,
+                 "mc": {"t": float("nan"), "n_paths": 10}}),
+        ("barriers", {"kappa": float("nan"), "delta": 0.05, "horizon_T": 0.1}),
+        ("hydro-compare", {"epsilon": 0.1, "kappa": 1.0, "horizon_T": 0.1,
+                           "seed": 2, "delta_ref": 0.02,
+                           "threshold": float("nan")}),
+        ("fbp", {"kappa": 0.5, "delta": 0.05, "horizon_T": 0.1,
+                 "mc": {"t": 0.1, "n_paths": 10, "z_max": float("nan")}}),
     ])
-    def test_bad_value_is_a_usage_error(self, tmp_path, command, cfg):
+    def test_bad_value_is_a_usage_error(self, tmp_path, capsys, command, cfg):
         code, _ = run(tmp_path, command, cfg)
         assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_missing_config_file(self, tmp_path):
         code = main(["simulate", "--config", str(tmp_path / "nope.json"),

@@ -96,23 +96,51 @@ def random_ordered_instance(rng, max_particles=5, n_sites=6):
         positions = np.sort(rng.integers(0, n_sites, size=M))
         sigma = np.where(rng.random(M) < 0.5, A, B)
         sigma_p = rng.permutation(sigma)
-        xi = coupling.site_counts(positions, sigma)
-        xi_p = coupling.site_counts(positions, sigma_p)
-        if coupling.dominates(xi_p, xi):
+        if coupling.order_witness(positions, sigma_p, sigma)[0] == 0:
             return cs_of(positions, sigma, sigma_p)
+
+
+def witness(positions, lo, hi):
+    """order_witness of lists of positions and colors."""
+    return coupling.order_witness(np.array(positions), np.array(lo, np.int8),
+                                  np.array(hi, np.int8))
 
 
 class TestOrder:
     def test_order_witness_and_dominates(self):
-        assert coupling.dominates({0: 1}, {1: 1})
-        assert not coupling.dominates({1: 1}, {0: 1})
-        gap, site = coupling.order_witness({2: 1}, {0: 1})
-        assert gap == 1 and site == 2
+        # one a-particle at site 0 in lo, at site 1 in hi: lo is dominated
+        assert witness([0, 1], [A, B], [B, A]) == (0, None)
+        assert witness([0, 1], [B, A], [A, B]) == (1, 1)
+        assert witness([0, 2], [B, A], [A, B]) == (1, 2)
 
-    def test_site_counts_filters_by_color(self):
-        counts = coupling.site_counts(np.array([0, 0, 3]),
-                                      np.array([A, B, A]))
-        assert counts == {0: 1, 3: 1}
+    def test_order_witness_counts_only_a_particles(self):
+        # b-particles, however placed, move no tail
+        assert witness([0, 0, 3], [A, B, A], [A, B, A]) == (0, None)
+        assert witness([0, 5, 3], [A, B, A], [A, A, B]) == (0, None)
+        assert witness([0, 5, 3], [A, A, B], [A, B, A]) == (1, 5)
+
+    def test_order_witness_matches_brute_force(self, rng):
+        """Excess and witness against the tail counts of both colorings
+        taken directly at every occupied site; the witness is the leftmost
+        site holding an a-particle of either coloring that attains it."""
+        witnessed = no_a = 0
+        for _ in range(3000):
+            M = int(rng.integers(1, 9))
+            positions = rng.integers(-3, 4, size=M)
+            lo, hi = (np.where(rng.random(M) < p, A, B).astype(np.int8)
+                      for p in rng.random(2))
+            tails = {x: np.count_nonzero((positions >= x) & (lo == A))
+                     - np.count_nonzero((positions >= x) & (hi == A))
+                     for x in positions.tolist()}
+            best = max(0, *tails.values())
+            a_sites = positions[(lo == A) | (hi == A)].tolist()
+            site = min((x for x in a_sites if tails[x] == best),
+                       default=None) if best else None
+            assert coupling.order_witness(positions, lo, hi) == (best, site)
+            witnessed += site is not None
+            no_a += A not in lo or A not in hi
+        assert 500 <= witnessed <= 2500
+        assert no_a >= 100
 
 
 class TestBuildSplitting:
@@ -363,8 +391,7 @@ class TestCoupleBlock:
             while True:
                 sigma = np.where(rng.random(M) < 0.5, A, B)
                 sigma_p = rng.permutation(sigma)
-                if coupling.dominates(coupling.site_counts(x, sigma_p),
-                                      coupling.site_counts(x, sigma)):
+                if coupling.order_witness(x, sigma_p, sigma)[0] == 0:
                     break
             h_a = int(np.sum(sigma == A))
             while True:

@@ -130,8 +130,6 @@ class TestCodes:
     def test_per_color_counts_reject_unknown_colors(self, color):
         ps = ParticleState(np.array([0, 1]), np.array([A, B]))
         with pytest.raises(SimulationError):
-            lattice.site_counts(ps.positions, ps.colors, color)
-        with pytest.raises(SimulationError):
             lattice.scaled_tail_curve(ps, color, np.zeros(1), 0.1)
 
 
@@ -400,25 +398,37 @@ class TestProfiles:
         profile = macro.tent_pair()
         cfg = cfg_small(epsilon=0.05)
         ps = lattice.sample_initial(profile, cfg, rng)
-        occ = lattice.occupation(ps)
         rs = np.linspace(-2.0, 2.0, 31)
-        curve = lattice.scaled_tail_curve(ps, A, rs, cfg.epsilon)
-        pointwise = [lattice.scaled_tail(occ.xi, r, cfg.epsilon) for r in rs]
-        assert np.allclose(curve, pointwise)
+        for color in (A, B):
+            curve = lattice.scaled_tail_curve(ps, color, rs, cfg.epsilon)
+            # eps times the number of `color` particles at sites >= r/eps
+            direct = [cfg.epsilon * np.count_nonzero(
+                (ps.colors == color)
+                & (ps.positions >= np.ceil(r / cfg.epsilon - 1e-12)))
+                for r in rs]
+            assert np.allclose(curve, direct)
 
-    def test_occupation_totals(self, rng):
-        ps = ParticleState(np.array([0, 0, 1, 2]),
-                           np.array([A, B, A, B]))
-        occ = lattice.occupation(ps)
-        assert occ.total == 4
-        assert occ.xi == {0: 1, 1: 1}
-        assert occ.eta == {0: 1, 2: 1}
+    def test_occupation_totals(self, rng, tmp_path):
+        ps = lattice.sample_initial(macro.tent_pair(),
+                                    cfg_small(epsilon=0.01), rng)
+        path = tmp_path / "occ.csv"
+        lattice.write_occupation_csv(path, ps)
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64)
+        assert np.array_equal(rows[:, 0], np.unique(ps.positions))
+        assert rows[:, 1].sum() == np.count_nonzero(ps.colors == A)
+        assert rows[:, 2].sum() == np.count_nonzero(ps.colors == B)
+        for x, xi, eta in rows:
+            here = ps.colors[ps.positions == x]
+            assert (xi, eta) == (np.count_nonzero(here == A),
+                                 np.count_nonzero(here == B))
 
     def test_occupation_csv(self, tmp_path):
-        ps = ParticleState(np.array([0, 2]), np.array([A, B]))
         path = tmp_path / "occ.csv"
-        lattice.write_occupation_csv(path, lattice.occupation(ps))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "site,xi,eta"
-        assert lines[1] == "0,1,0"
-        assert lines[2] == "2,0,1"
+        for positions, colors, rows in (
+                ([0, 2], [A, B], ["0,1,0", "2,0,1"]),
+                ([2, 0, -1, 0, 0], [B, A, B, B, A],
+                 ["-1,0,1", "0,2,1", "2,0,1"])):
+            lattice.write_occupation_csv(
+                path, ParticleState(np.array(positions), np.array(colors)))
+            lines = path.read_text().strip().splitlines()
+            assert lines == ["site,xi,eta", *rows]

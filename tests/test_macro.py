@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twospecies import macro
+from twospecies import fbp, macro
 from twospecies.macro import (AnnihilationError, GridSpec, ProfileError,
                               ProfilePair, RepairError)
 
@@ -332,23 +332,36 @@ class TestBarriers:
         with pytest.raises(ProfileError):
             macro.barrier_step(macro.tent_pair(), 0.05, 0.5, "sideways")
 
+    @pytest.mark.parametrize("T, delta", [(float("nan"), 0.1),
+                                          (float("inf"), 0.1),
+                                          (1.0, float("nan")),
+                                          (1.0, float("inf")), (1.0, 0.0)])
+    def test_step_count_rejects_nonfinite_or_zero(self, T, delta):
+        with pytest.raises(ProfileError):
+            macro.step_count(T, delta)
+        with pytest.raises(fbp.FbpError):
+            fbp.solve_reference(macro.tent_pair(), 0.5, T, delta)
+
 
 class TestOrder:
     def test_order_gap_of_shifted_blocks(self):
         grid = GridSpec(0.0, 4.0, 400)
         left = ProfilePair(grid, macro.tent(grid, 0.5, 1.5), np.zeros(401))
         right = ProfilePair(grid, macro.tent(grid, 2.5, 3.5), np.zeros(401))
-        assert macro.dominated_by(left, right, tol=1e-12)
+        assert macro.order_gap(left, right)[0] <= 1e-12
         gap, r_at = macro.order_gap(right, left)
         assert gap == pytest.approx(1.0, abs=1e-9)
         assert 1.5 <= r_at <= 2.5
 
     def test_order_mod_m(self, rng):
+        # a cut lies below its source; the source exceeds it by a positive
+        # u-tail gap, attained at the reported point
         lo, hi = ordered_pair(rng)
-        assert macro.order_mod_m(lo, hi, 0.0) or macro.order_mod_m(lo, hi, 1e-12)
-        gap, _ = macro.order_gap(hi, lo)
-        assert macro.order_mod_m(hi, lo, gap + 1e-12)
-        assert not macro.order_mod_m(hi, lo, max(gap - 1e-6, 0.0))
+        assert macro.order_gap(lo, hi)[0] <= 1e-12
+        gap, r_at = macro.order_gap(hi, lo)
+        assert gap > 0
+        assert gap == pytest.approx(macro.tail_integral(hi.u, hi.grid, r_at)
+                                    - macro.tail_integral(lo.u, lo.grid, r_at))
 
 
 class TestRepair:
@@ -357,7 +370,7 @@ class TestRepair:
             p = random_class_u_pair(rng)
             m = 0.03 * min(p.mass_u, p.mass_v)
             f = macro.repair_upper(p, m)
-            assert macro.dominated_by(p, f, tol=1e-10)
+            assert macro.order_gap(p, f)[0] <= 1e-10
             gap, _ = macro.order_gap(f, p)
             assert gap <= m + 1e-10
             assert f.mass_u == pytest.approx(p.mass_u, rel=1e-12)
@@ -375,7 +388,7 @@ class TestRepair:
             except RepairError:
                 continue
             done += 1
-            assert macro.dominated_by(f, p, tol=1e-10)
+            assert macro.order_gap(f, p)[0] <= 1e-10
             gap, _ = macro.order_gap(p, f)
             assert gap <= m + 1e-10
             # a feasible lower repair is exactly the cut
