@@ -166,8 +166,7 @@ def cmd_simulate(args, cfg: dict, out: Path) -> int:
         rng_init, rng_clock, rng_walk = map(np.random.default_rng, ss.spawn(3))
         ps0 = lattice.sample_initial(profile, scfg, rng_init)
         log = lattice.sample_clock(scfg, rng_clock)
-        traj = lattice.run_true(ps0, log, scfg.micro_horizon, rng=rng_walk,
-                                walk_rate=scfg.walk_rate)
+        traj = lattice.run_true(ps0, log, scfg.micro_horizon, rng=rng_walk)
         final = traj.state_at(scfg.micro_horizon)
         lattice.write_occupation_csv(out / f"occupation_seed{rep}.csv", final)
         emp = lattice.empirical_profile(final, scfg, profile.grid)
@@ -205,7 +204,7 @@ def cmd_couple_verify(args, cfg: dict, out: Path) -> int:
         profile = profile_from_config(sand_cfg)
         delta = positive(require(sand_cfg, "delta", (int, float)), "delta")
         srep = coupling.verify_sandwich(scfg, profile, delta, args.seeds)
-        report["sandwich"] = json.loads(srep.to_json())
+        report["sandwich"] = srep.to_dict()
         ok = ok and srep.ok
     if not report:
         raise ConfigError("couple-verify needs an 'exhaustive' or 'sandwich' block")
@@ -261,7 +260,8 @@ def cmd_fbp(args, cfg: dict, out: Path) -> int:
         rng = np.random.default_rng(
             np.random.SeedSequence(
                 nonnegative(optional(mc_cfg, "seed", SEED, 0), "mc.seed")))
-        z_max = optional(mc_cfg, "z_max", (int, float), 4.0)
+        z_max = nonnegative(optional(mc_cfg, "z_max", (int, float), 4.0),
+                            "mc.z_max")
         t = require(mc_cfg, "t", (int, float))
         n_paths = positive(require(mc_cfg, "n_paths", int), "n_paths")
         dt = positive(optional(mc_cfg, "dt", (int, float), 1e-4), "dt")
@@ -278,12 +278,16 @@ def cmd_fbp(args, cfg: dict, out: Path) -> int:
 def cmd_hydro_compare(args, cfg: dict, out: Path) -> int:
     scfg = sim_config(cfg)
     profile = profile_from_config(cfg)
-    t_eval = optional(cfg, "t_eval", (int, float), scfg.horizon_T)
+    t_eval = nonnegative(optional(cfg, "t_eval", (int, float), scfg.horizon_T),
+                         "t_eval")
     if t_eval > scfg.horizon_T:
         raise ConfigError(f"t_eval {t_eval} exceeds horizon_T {scfg.horizon_T}: "
                           "the clock rings only up to horizon_T")
     delta_ref = positive(optional(cfg, "delta_ref", (int, float), 0.01),
                          "delta_ref")
+    threshold = optional(cfg, "threshold", (int, float), None)
+    if threshold is not None:
+        nonnegative(threshold, "threshold")
     sol = fbp.solve_reference(profile, scfg.kappa, t_eval, delta_ref)
     ref = sol.profile_at(t_eval)
     rs = ref.grid.nodes()
@@ -296,8 +300,7 @@ def cmd_hydro_compare(args, cfg: dict, out: Path) -> int:
         ps0 = lattice.sample_initial(profile, scfg, rng_init)
         log = lattice.sample_clock(scfg, rng_clock)
         t_micro = t_eval / scfg.epsilon**2
-        traj = lattice.run_true(ps0, log, t_micro, rng=rng_walk,
-                                walk_rate=scfg.walk_rate)
+        traj = lattice.run_true(ps0, log, t_micro, rng=rng_walk)
         st = traj.state_at(t_micro)
         dev_u = np.max(np.abs(
             lattice.scaled_tail_curve(st, lattice.A, rs, scfg.epsilon) - ref_tail_u))
@@ -310,7 +313,6 @@ def cmd_hydro_compare(args, cfg: dict, out: Path) -> int:
     devs = np.array([max(r["sup_dev_u"], r["sup_dev_v"]) for r in rows])
     mean = float(devs.mean())
     se = float(devs.std(ddof=1) / np.sqrt(len(devs))) if len(devs) > 1 else 0.0
-    threshold = optional(cfg, "threshold", (int, float), None)
     ok = threshold is None or mean <= threshold
     write_report(out, {
         "t_eval": t_eval,

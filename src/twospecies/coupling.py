@@ -9,7 +9,6 @@ identities tie the discrepancy counts to the mark tallies.  Labels are
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +16,7 @@ import numpy as np
 from .lattice import (A, B, COLORS, LEFT, MARKS, RIGHT, EventLog,
                       PositionRealization, SimConfig, as_codes, in_X,
                       rank_select, run_true, sample_clock, sample_initial)
-from .macro import ProfilePair
+from .macro import ProfilePair, step_count
 
 
 class CouplingError(ValueError):
@@ -504,15 +503,15 @@ class SandwichReport:
     def ok(self) -> bool:
         return self.n_violations == 0 and self.counts_mismatch == 0
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def to_dict(self) -> dict:
+        return {
             "n_seeds": self.n_seeds,
             "n_excluded": self.n_excluded,
             "exclusion_rate": self.exclusion_rate,
             "n_violations": self.n_violations,
             "counts_mismatch": self.counts_mismatch,
             "violations": self.violations[:50],
-        }, indent=2)
+        }
 
 
 def _first_meeting(real: PositionRealization, pr: tuple[int, int],
@@ -612,7 +611,7 @@ def verify_sandwich(cfg: SimConfig, profile: ProfilePair, delta: float,
     Runs leaving the survival set are excluded and counted.
     """
     block_len = delta / cfg.epsilon**2
-    K = int(np.ceil(cfg.horizon_T / delta - 1e-12))
+    K = step_count(cfg.horizon_T, delta)
     t_end = K * block_len
 
     n_excluded = 0
@@ -628,8 +627,7 @@ def verify_sandwich(cfg: SimConfig, profile: ProfilePair, delta: float,
         if not in_X(h_a0, ps0.M, log, t_end):
             n_excluded += 1
             continue
-        real = PositionRealization.sample(ps0.positions, t_end, cfg.walk_rate,
-                                         rng_walk)
+        real = PositionRealization.sample(ps0.positions, t_end, rng_walk)
         traj = run_true(ps0, log, t_end, realization=real)
         plus_colors = ps0.colors.copy()
         minus_colors = ps0.colors.copy()

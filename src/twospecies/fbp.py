@@ -27,6 +27,14 @@ class FbpError(ProfileError):
     pass
 
 
+# Supports end where the density falls to EDGE_FRAC of the pair's peak;
+# near-edge lines fit _FIT_CELLS cells ending _FIT_SKIP cells inside the
+# edge; mc_validate checks N_INTERVALS equal-mass intervals per side.
+EDGE_FRAC = 1e-6
+_FIT_CELLS, _FIT_SKIP = 5, 2
+N_INTERVALS = 10
+
+
 # ---------------------------------------------------------------------------
 # boundary curves
 
@@ -45,6 +53,10 @@ class BoundaryCurves:
     def V_at(self, t):
         return np.interp(t, self.times, self.V)
 
+    def mirrored(self) -> "BoundaryCurves":
+        """The curves of the mirrored pairs (`ProfilePair.mirrored`)."""
+        return BoundaryCurves(self.times, -self.V, -self.U)
+
 
 def _right_edge(f: np.ndarray, grid: GridSpec, thr: float) -> float:
     """Rightmost threshold crossing of f, linearly interpolated."""
@@ -59,32 +71,21 @@ def _right_edge(f: np.ndarray, grid: GridSpec, thr: float) -> float:
     return float(nodes[j] + lam * grid.h)
 
 
-def _left_edge(f: np.ndarray, grid: GridSpec, thr: float) -> float:
-    idx = np.nonzero(f > thr)[0]
-    if len(idx) == 0:
-        raise FbpError("empty support while extracting a boundary")
-    j = int(idx[0])
-    nodes = grid.nodes()
-    if j == 0:
-        return float(nodes[0])
-    lam = (f[j] - thr) / max(f[j] - f[j - 1], 1e-300)
-    return float(nodes[j] - lam * grid.h)
-
-
-def extract_boundaries(profiles: list[ProfilePair], times: np.ndarray,
-                       thr_frac: float = 1e-6) -> BoundaryCurves:
+def extract_boundaries(profiles: list[ProfilePair], times: np.ndarray
+                       ) -> BoundaryCurves:
     """Support edges of the sharp (lower-variant) profiles at each time.
 
-    U_t is where u last exceeds thr_frac times the pair's peak, V_t where v
-    first does.  The overlap ordering V_t < U_t is enforced.
+    U_t is where u last exceeds EDGE_FRAC times the pair's peak, V_t where v
+    first does (U_t of the mirror).  The overlap ordering V_t < U_t is
+    enforced.
     """
     U = np.empty(len(profiles))
     V = np.empty(len(profiles))
     for k, p in enumerate(profiles):
         peak = max(float(p.u.max(initial=0.0)), float(p.v.max(initial=0.0)))
-        thr = thr_frac * peak
+        thr = EDGE_FRAC * peak
         U[k] = _right_edge(p.u, p.grid, thr)
-        V[k] = _left_edge(p.v, p.grid, thr)
+        V[k] = -_right_edge(p.v[::-1], p.grid.mirrored(), thr)
         if not V[k] < U[k]:
             raise FbpError(f"boundaries crossed at t={times[k]}: "
                            f"V={V[k]} >= U={U[k]}")
@@ -163,33 +164,24 @@ def solve_reference(initial: ProfilePair, kappa: float, T: float, delta: float,
 # boundary flux
 
 
-def boundary_flux_u(p: ProfilePair, U_r: float, n_fit: int = 5,
-                    skip: int = 2) -> float:
-    """Outward flux -u_r/2 at the right edge of u, from a least-squares line
-    through n_fit+1 nodes ending `skip` cells inside the boundary."""
-    grid = p.grid
-    j = int(math.floor((U_r - grid.r_min) / grid.h))
-    hi = j - skip
-    lo = hi - n_fit
+def _edge_line(f: np.ndarray, grid: GridSpec, edge: float
+               ) -> np.ndarray | None:
+    """(slope, intercept) of the least-squares line through f near its right
+    edge, or None when the grid leaves no room for the fit."""
+    hi = int(math.floor((edge - grid.r_min) / grid.h)) - _FIT_SKIP
+    lo = hi - _FIT_CELLS
     if lo < 0:
-        raise FbpError("not enough interior nodes for the flux fit")
-    rs = grid.nodes()[lo:hi + 1]
-    slope = np.polyfit(rs, p.u[lo:hi + 1], 1)[0]
-    return -0.5 * float(slope)
+        return None
+    return np.polyfit(grid.nodes()[lo:hi + 1], f[lo:hi + 1], 1)
 
 
-def boundary_flux_v(p: ProfilePair, V_r: float, n_fit: int = 5,
-                    skip: int = 2) -> float:
-    """Outward flux v_r/2 at the left edge of v (mirror of boundary_flux_u)."""
-    grid = p.grid
-    j = int(math.ceil((V_r - grid.r_min) / grid.h))
-    lo = j + skip
-    hi = lo + n_fit
-    if hi >= grid.n_nodes:
+def boundary_flux_u(p: ProfilePair, U_r: float) -> float:
+    """Outward flux -u_r/2 at u's right edge U_r, from the near-edge line;
+    v's flux v_r/2 at V_r is boundary_flux_u(p.mirrored(), -V_r)."""
+    line = _edge_line(p.u, p.grid, U_r)
+    if line is None:
         raise FbpError("not enough interior nodes for the flux fit")
-    rs = grid.nodes()[lo:hi + 1]
-    slope = np.polyfit(rs, p.v[lo:hi + 1], 1)[0]
-    return 0.5 * float(slope)
+    return -0.5 * float(line[0])
 
 
 def flux_series(sol: FbpSolution, t_lo: float, t_hi: float
@@ -201,24 +193,20 @@ def flux_series(sol: FbpSolution, t_lo: float, t_hi: float
     fu = np.empty(len(ts))
     fv = np.empty(len(ts))
     for out_i, k in enumerate(np.nonzero(sel)[0]):
-        fu[out_i] = boundary_flux_u(sol.minus[k], sol.boundaries.U[k])
-        fv[out_i] = boundary_flux_v(sol.minus[k], sol.boundaries.V[k])
+        p = sol.minus[k]
+        fu[out_i] = boundary_flux_u(p, sol.boundaries.U[k])
+        fv[out_i] = boundary_flux_u(p.mirrored(), -sol.boundaries.V[k])
     return ts, fu, fv
 
 
-def _extrapolated_right_zero(f: np.ndarray, grid: GridSpec, edge: float,
-                             n_fit: int = 5, skip: int = 2) -> float:
-    """Zero crossing of the near-edge least-squares line, clamped to lie at
-    or beyond the support edge."""
-    j = int(math.floor((edge - grid.r_min) / grid.h))
-    hi = j - skip
-    lo = hi - n_fit
-    if lo < 0:
+def _extrapolated_right_zero(f: np.ndarray, grid: GridSpec,
+                             edge: float) -> float:
+    """Zero crossing of the near-edge line, clamped to lie at or beyond the
+    support edge."""
+    line = _edge_line(f, grid, edge)
+    if line is None or line[0] >= 0:
         return edge
-    rs = grid.nodes()[lo:hi + 1]
-    slope, icept = np.polyfit(rs, f[lo:hi + 1], 1)
-    if slope >= 0:
-        return edge
+    slope, icept = line
     return min(max(edge, float(-icept / slope)), edge + 0.5)
 
 
@@ -354,63 +342,50 @@ class McReport:
         }
 
 
-def _side_data(sol: FbpSolution, side: str):
-    """Geometry for one species in the 'upper absorbing boundary' frame.
-
-    The v side is handled by reflecting space, which turns its left-edge
-    absorption into a right-edge one.
-    """
-    p0 = sol.minus[0]
-    bd = refined_boundary_curves(sol)
-    if side == "u":
-        f0, grid0 = p0.u, p0.grid
-        upper = lambda ts: bd.U_at(ts)
-        source = lambda ts: bd.V_at(ts)
-        flip = 1.0
-    elif side == "v":
-        f0, grid0 = p0.v[::-1].copy(), p0.grid.mirrored()
-        upper = lambda ts: -bd.V_at(ts)
-        source = lambda ts: -bd.U_at(ts)
-        flip = -1.0
-    else:
+def _side_data(sol: FbpSolution, side: str, t: float
+               ) -> tuple[ProfilePair, BoundaryCurves, ProfilePair]:
+    """Initial pair, refined boundaries and reference pair at time t, in the
+    frame where `side` is u: absorbed at the right edge U and fed at V.  The
+    v side is the u side of the mirrored problem."""
+    if side not in ("u", "v"):
         raise FbpError(f"side must be 'u' or 'v', got {side!r}")
-    return f0, grid0, upper, source, flip
+    p0, bd, ref = sol.minus[0], refined_boundary_curves(sol), sol.profile_at(t)
+    if side == "v":
+        return p0.mirrored(), bd.mirrored(), ref.mirrored()
+    return p0, bd, ref
 
 
 def mc_validate(sol: FbpSolution, t: float, n_paths: int,
                 rng: np.random.Generator, side: str = "u",
-                n_intervals: int = 10, dt: float = 1e-4) -> McReport:
+                dt: float = 1e-4) -> McReport:
     """Compare interval masses of the reference profile at time t with the
     path representation: surviving paths from the initial datum plus
     surviving paths injected at the partner's boundary at uniform times
     (Fubini weight kappa*t).  Also checks the absorbed-mass identity."""
-    f0, grid0, upper, source, flip = _side_data(sol, side)
-    mass0 = float(node_weights(grid0) @ f0)
+    p0, bd, ref = _side_data(sol, side, t)
+    mass0 = float(node_weights(p0.grid) @ p0.u)
     kappa_t = sol.kappa * t
 
     n0 = n_paths
     ns = max(n_paths // 2, 1)
-    x0 = _sample_from_density(f0, grid0, n0, rng)
-    xf0, ab0 = simulate_absorbed(x0, np.zeros(n0), t, upper, dt, rng)
+    x0 = _sample_from_density(p0.u, p0.grid, n0, rng)
+    xf0, ab0 = simulate_absorbed(x0, np.zeros(n0), t, bd.U_at, dt, rng)
     s = t * rng.random(ns)
-    xfs, abs_ = simulate_absorbed(source(s), s, t, upper, dt, rng)
+    xfs, abs_ = simulate_absorbed(bd.V_at(s), s, t, bd.U_at, dt, rng)
 
     # reference interval masses on the midpoint profile; the intervals carry
     # equal reference mass so no bin is starved of paths
-    ref = sol.profile_at(t)
-    f_ref = ref.u if side == "u" else ref.v[::-1]
-    grid_ref = ref.grid if side == "u" else ref.grid.mirrored()
-    peak = float(np.max(f_ref))
-    supp = np.nonzero(f_ref > 1e-6 * peak)[0]
-    r_lo = float(grid_ref.nodes()[supp[0]])
-    r_hi = float(upper(np.asarray([t]))[0])
-    nodes = grid_ref.nodes()
+    peak = float(np.max(ref.u))
+    supp = np.nonzero(ref.u > EDGE_FRAC * peak)[0]
+    r_lo = float(ref.grid.nodes()[supp[0]])
+    r_hi = float(bd.U_at(t))
+    nodes = ref.grid.nodes()
     inside = (nodes > r_lo) & (nodes < r_hi)
     knots = np.concatenate([[r_lo], nodes[inside], [r_hi]])
-    cum = np.asarray(tail_integral(f_ref, grid_ref, r_lo)
-                     - tail_integral(f_ref, grid_ref, knots))
+    cum = np.asarray(tail_integral(ref.u, ref.grid, r_lo)
+                     - tail_integral(ref.u, ref.grid, knots))
     cum[-1] = max(cum[-1], cum[-2])
-    levels = cum[-1] * np.arange(n_intervals + 1) / n_intervals
+    levels = cum[-1] * np.arange(N_INTERVALS + 1) / N_INTERVALS
     edges = np.interp(levels, cum, knots)
     edges[0], edges[-1] = r_lo, r_hi
 
@@ -418,16 +393,16 @@ def mc_validate(sol: FbpSolution, t: float, n_paths: int,
     ws = kappa_t / ns
     intervals = []
     for a, b in zip(edges[:-1], edges[1:]):
-        ref_mass = float(tail_integral(f_ref, grid_ref, a)
-                         - tail_integral(f_ref, grid_ref, b))
+        ref_mass = float(tail_integral(ref.u, ref.grid, a)
+                         - tail_integral(ref.u, ref.grid, b))
         c0 = int(np.count_nonzero(~ab0 & (xf0 >= a) & (xf0 < b)))
         cs = int(np.count_nonzero(~abs_ & (xfs >= a) & (xfs < b)))
         est = w0 * c0 + ws * cs
         p0_hat, ps_hat = c0 / n0, cs / ns
         var = (mass0**2 * p0_hat * (1 - p0_hat) / n0
                + kappa_t**2 * ps_hat * (1 - ps_hat) / ns)
-        intervals.append(IntervalCheck(flip * a if flip > 0 else -b,
-                                       flip * b if flip > 0 else -a,
+        # reported in the original r, where the mirrored [a, b) is (-b, -a]
+        intervals.append(IntervalCheck(*((a, b) if side == "u" else (-b, -a)),
                                        ref_mass, est, math.sqrt(max(var, 1e-300))))
 
     pa0 = float(np.mean(ab0))

@@ -1,11 +1,11 @@
 """Event-driven simulation of the two-species random-walk system.
 
 Particles perform independent continuous-time nearest-neighbor walks on the
-integers; an independent marked Poisson clock flips the rightmost a-particle
-to b (mark 'right') or the leftmost b-particle to a (mark 'left').  Labels
-are 1-based and stable along a trajectory.  Colors and marks are int8
-codes: a = 0, b = 1, right = 0, left = 1, so mark m recolors species m to
-1 - m.
+integers, jumping at rate 1 as the heat kernel of `macro` assumes; an
+independent marked Poisson clock flips the rightmost a-particle to b (mark
+'right') or the leftmost b-particle to a (mark 'left').  Labels are 1-based
+and stable along a trajectory.  Colors and marks are int8 codes: a = 0,
+b = 1, right = 0, left = 1, so mark m recolors species m to 1 - m.
 """
 from __future__ import annotations
 
@@ -55,7 +55,6 @@ class SimConfig:
     kappa: float
     horizon_T: float
     seed: int
-    walk_rate: float = 1.0
 
     def __post_init__(self):
         if not 0 < self.epsilon < 1:
@@ -64,8 +63,6 @@ class SimConfig:
             raise SimulationError("kappa must be nonnegative and finite")
         if not 0 < self.horizon_T < np.inf:
             raise SimulationError("horizon_T must be positive and finite")
-        if not 0 < self.walk_rate < np.inf:
-            raise SimulationError("walk_rate must be positive and finite")
 
     @property
     def micro_horizon(self) -> float:
@@ -186,18 +183,18 @@ def sample_clock(cfg: SimConfig, rng: np.random.Generator) -> EventLog:
 # walks
 
 
-def _walk_draws(t_end: float, rate: float, rng: np.random.Generator
+def _walk_draws(t_end: float, rng: np.random.Generator
                 ) -> tuple[np.ndarray, np.ndarray]:
     """One particle's jump times in (0, t_end] and up-step flags.
 
     The sampler of `PositionRealization.sample`, the stored realization
     that `coupling` reads jump by jump.
     """
-    expected = max(int(rate * t_end * 1.3) + 16, 16)
+    expected = max(int(t_end * 1.3) + 16, 16)
     ts: list[np.ndarray] = []
     t_acc = 0.0
     while t_acc <= t_end:
-        chunk = np.cumsum(rng.exponential(1.0 / rate, size=expected)) + t_acc
+        chunk = np.cumsum(rng.exponential(1.0, size=expected)) + t_acc
         ts.append(chunk)
         t_acc = chunk[-1]
     all_t = np.concatenate(ts)
@@ -251,12 +248,11 @@ class PositionRealization(_Walks):
     """
 
     def __init__(self, x0: np.ndarray, jump_times: list[np.ndarray],
-                 steps: list[np.ndarray], t_end: float, rate: float = 1.0):
+                 steps: list[np.ndarray], t_end: float):
         self.x0 = np.asarray(x0, dtype=np.int64)
         self.jump_times = jump_times
         self.steps = steps
         self.t_end = float(t_end)
-        self.rate = float(rate)
         # path[i][k] = position of particle i after k jumps
         self.paths = [
             np.concatenate([[self.x0[i]], self.x0[i] + np.cumsum(steps[i])])
@@ -264,13 +260,13 @@ class PositionRealization(_Walks):
         ]
 
     @classmethod
-    def sample(cls, x0: np.ndarray, t_end: float, rate: float,
+    def sample(cls, x0: np.ndarray, t_end: float,
                rng: np.random.Generator) -> "PositionRealization":
         x0 = np.asarray(x0, dtype=np.int64)
-        draws = [_walk_draws(t_end, rate, rng) for _ in range(len(x0))]
+        draws = [_walk_draws(t_end, rng) for _ in range(len(x0))]
         return cls(x0, [jt for jt, _ in draws],
                    [np.where(up, 1, -1).astype(np.int64) for _, up in draws],
-                   t_end, rate)
+                   t_end)
 
     def positions_at_many(self, times) -> np.ndarray:
         times = self._query_times(times)
@@ -285,11 +281,11 @@ class StreamedWalks(_Walks):
     """Independent walks on [0, t_end] drawn only at the times read.
 
     A walk's law at fixed times needs no jump times: over a gap of length
-    dt a particle makes Poisson(rate * dt) jumps, half of them up on
+    dt a particle makes Poisson(dt) jumps, half of them up on
     average (`_increments`).  The gaps between 0, `times` and t_end are
     drawn this way from `rng` at construction, and each walk's position and
     jump count are kept at each of these known times, so memory and work
-    are O(M * len(times)), not O(M * rate * t_end).
+    are O(M * len(times)), not O(M * t_end).
 
     A query strictly inside a gap draws from the exact bridge between its
     known neighbours: of the gap's n jumps, Binomial(n, f) fall before it
@@ -301,18 +297,17 @@ class StreamedWalks(_Walks):
     touched again.
     """
 
-    def __init__(self, x0: np.ndarray, t_end: float, rate: float,
-                 rng: np.random.Generator, times):
+    def __init__(self, x0: np.ndarray, t_end: float, rng: np.random.Generator,
+                 times):
         self.x0 = np.asarray(x0, dtype=np.int64)
         self.t_end = float(t_end)
-        self.rate = float(rate)
         self._times = np.union1d(self._query_times(times), [0.0, self.t_end])
         # row k: positions, and jumps made on [0, _times[k]]
         self._positions = np.empty((len(self._times), self.M), dtype=np.int64)
         self._jumps = np.zeros_like(self._positions)
         self._positions[0] = self.x0
         for k, dt in enumerate(np.diff(self._times)):
-            n, ups = _increments(self.rate * dt, self.M, rng)
+            n, ups = _increments(dt, self.M, rng)
             self._positions[k + 1] = self._positions[k] + 2 * ups - n
             self._jumps[k + 1] = self._jumps[k] + n
         self._bridge_rng = np.random.default_rng(rng.integers(2**63))
@@ -340,12 +335,12 @@ class StreamedWalks(_Walks):
 
 
 def evolve_positions(ps: ParticleState, t0: float, t1: float,
-                     rng: np.random.Generator, walk_rate: float = 1.0) -> ParticleState:
+                     rng: np.random.Generator) -> ParticleState:
     """Transport positions over [t0, t1]; colors untouched.
 
     Samples the net displacement directly, one gap of `_increments`: jump
-    counts are Poisson with mean walk_rate*(t1-t0) and each jump is +-1
-    with probability 1/2.
+    counts are Poisson with mean t1 - t0 and each jump is +-1 with
+    probability 1/2.
     """
     if abs(ps.time - t0) > 1e-9:
         raise SimulationError(f"state time {ps.time} != t0 = {t0}")
@@ -354,7 +349,7 @@ def evolve_positions(ps: ParticleState, t0: float, t1: float,
     tau = t1 - t0
     if tau == 0:
         return replace(ps.copy(), time=t1)
-    n, ups = _increments(walk_rate * tau, ps.M, rng)
+    n, ups = _increments(tau, ps.M, rng)
     return ParticleState(ps.positions + 2 * ups - n, ps.colors.copy(),
                          time=t1)
 
@@ -428,8 +423,7 @@ class TrueTrajectory:
 
 def run_true(ps: ParticleState, log: EventLog, t_end: float,
              rng: np.random.Generator | None = None,
-             realization: PositionRealization | None = None,
-             walk_rate: float = 1.0) -> TrueTrajectory:
+             realization: PositionRealization | None = None) -> TrueTrajectory:
     """Build the trajectory sampler; pass a realization to reuse positions.
 
     With only an rng the walks are streamed (`StreamedWalks`): their jump
@@ -440,8 +434,7 @@ def run_true(ps: ParticleState, log: EventLog, t_end: float,
         if rng is None:
             raise SimulationError("need either an rng or a stored realization")
         n = int(np.searchsorted(log.times, t_end, side="right"))
-        realization = StreamedWalks(ps.positions, t_end, walk_rate, rng,
-                                    log.times[:n])
+        realization = StreamedWalks(ps.positions, t_end, rng, log.times[:n])
     return TrueTrajectory(ps, log, realization, t_end)
 
 

@@ -106,6 +106,12 @@ class ProfilePair:
     def copy(self) -> "ProfilePair":
         return ProfilePair(self.grid, self.u.copy(), self.v.copy())
 
+    def mirrored(self) -> "ProfilePair":
+        """The pair reflected through r = 0 with the species swapped (fresh
+        arrays, masses kept): a v-side computation is the u-side one on it."""
+        return ProfilePair(self.grid.mirrored(), self.v[::-1].copy(),
+                           self.u[::-1].copy(), self.mass_v, self.mass_u)
+
 
 @dataclass(frozen=True)
 class CutPoints:
@@ -396,9 +402,9 @@ def barrier_step(p: ProfilePair, delta: float, kappa: float, variant: str) -> Pr
 
 def step_count(T: float, delta: float) -> int:
     """Number of steps of size delta that reach T; T must be a multiple."""
-    if not (math.isfinite(T) and math.isfinite(delta) and delta > 0):
+    if not (0 <= T < math.inf and 0 < delta < math.inf):
         raise ProfileError(f"T={T} and delta={delta} must be finite, "
-                           "delta positive")
+                           "T nonnegative and delta positive")
     n = int(round(T / delta))
     if abs(n * delta - T) > 1e-9 * max(T, 1.0):
         raise ProfileError(f"T={T} is not a multiple of delta={delta}")

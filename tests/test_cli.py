@@ -152,6 +152,13 @@ class TestHydroCompare:
         code, _ = run(tmp_path, "hydro-compare", cfg)
         assert code == 2
 
+    def test_negative_t_eval_is_named_in_the_error(self, tmp_path, capsys):
+        cfg = {"epsilon": 0.1, "kappa": 1.0, "horizon_T": 0.1, "seed": 2,
+               "t_eval": -0.1, "delta_ref": 0.02}
+        code, _ = run(tmp_path, "hydro-compare", cfg)
+        assert code == 2
+        assert "'t_eval'" in capsys.readouterr().err
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("command, cfg", [
@@ -217,6 +224,18 @@ class TestUsageErrors:
                            "threshold": float("nan")}),
         ("fbp", {"kappa": 0.5, "delta": 0.05, "horizon_T": 0.1,
                  "mc": {"t": 0.1, "n_paths": 10, "z_max": float("nan")}}),
+        # negative gates, a negative t_eval, sandwich horizons that are no
+        # multiple of delta
+        ("fbp", {"kappa": 0.5, "delta": 0.05, "horizon_T": 0.1,
+                 "mc": {"t": 0.1, "n_paths": 10, "z_max": -1}}),
+        ("hydro-compare", {"epsilon": 0.1, "kappa": 1.0, "horizon_T": 0.1,
+                           "seed": 2, "delta_ref": 0.02, "threshold": -1}),
+        ("hydro-compare", {"epsilon": 0.1, "kappa": 1.0, "horizon_T": 0.1,
+                           "seed": 2, "t_eval": -0.1, "delta_ref": 0.02}),
+        ("couple-verify", {"sandwich": dict(SIM_CFG, horizon_T=0.25,
+                                            delta=5.0)}),
+        ("couple-verify", {"sandwich": dict(SIM_CFG, horizon_T=1.0,
+                                            delta=0.3)}),
     ])
     def test_bad_value_is_a_usage_error(self, tmp_path, capsys, command, cfg):
         code, _ = run(tmp_path, command, cfg)

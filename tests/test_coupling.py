@@ -1,4 +1,6 @@
 """Two-copy splitting calculus: C-maps, dissolutions, balance identities."""
+import json
+
 import numpy as np
 import pytest
 
@@ -385,7 +387,7 @@ class TestCoupleBlock:
         for _ in range(150):
             M = int(rng.integers(2, 7))
             real = lattice.PositionRealization.sample(
-                rng.integers(0, 4, size=M), 12.0, 1.0, rng)
+                rng.integers(0, 4, size=M), 12.0, rng)
             t_lo, t_hi = 2.0, float(rng.uniform(4.0, 12.0))
             x = real.positions_at(t_lo)
             while True:
@@ -531,8 +533,15 @@ class TestSandwich:
         assert report.n_seeds == 20
         assert report.exclusion_rate <= 0.5
 
+    @pytest.mark.parametrize("horizon_T, delta", [(0.25, 5.0), (1.0, 0.3)])
+    def test_horizon_must_be_a_multiple_of_delta(self, horizon_T, delta):
+        cfg = lattice.SimConfig(epsilon=0.1, kappa=1.0, horizon_T=horizon_T,
+                                seed=1)
+        with pytest.raises(macro.ProfileError):
+            coupling.verify_sandwich(cfg, macro.tent_pair(), delta, 1)
+
     def test_report_serializes(self):
         cfg = lattice.SimConfig(epsilon=0.1, kappa=1.0, horizon_T=0.25, seed=9)
         report = coupling.verify_sandwich(cfg, macro.tent_pair(), 0.25, 3)
-        payload = report.to_json()
+        payload = json.dumps(report.to_dict())
         assert '"n_violations": 0' in payload

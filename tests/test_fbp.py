@@ -8,6 +8,8 @@ from twospecies import fbp, macro
 from twospecies.fbp import FbpError
 from twospecies.macro import GridSpec, ProfilePair
 
+from conftest import random_class_u_pair
+
 
 @pytest.fixture(scope="module")
 def coarse_sol():
@@ -79,6 +81,35 @@ class TestSolution:
             fbp.extract_boundaries([p], np.array([0.0]))
 
 
+def left_edge(f, grid, thr):
+    """Leftmost threshold crossing of f, linearly interpolated: the direct
+    formula for V that extract_boundaries reads off the mirrored pair."""
+    j = int(np.nonzero(f > thr)[0][0])
+    nodes = grid.nodes()
+    if j == 0:
+        return float(nodes[0])
+    lam = (f[j] - thr) / max(f[j] - f[j - 1], 1e-300)
+    return float(nodes[j] - lam * grid.h)
+
+
+class TestMirror:
+    def test_curves_mirror_is_an_involution(self, coarse_sol):
+        bd = coarse_sol.boundaries
+        m = bd.mirrored()
+        assert np.array_equal(m.U, -bd.V) and np.array_equal(m.V, -bd.U)
+        back = m.mirrored()
+        assert np.array_equal(back.U, bd.U) and np.array_equal(back.V, bd.V)
+        assert np.array_equal(back.times, bd.times)
+
+    def test_left_edge_is_the_mirrored_right_edge(self, coarse_sol, rng):
+        pairs = list(coarse_sol.minus)
+        pairs += [random_class_u_pair(rng) for _ in range(20)]
+        bd = fbp.extract_boundaries(pairs, np.arange(len(pairs), dtype=float))
+        for p, V in zip(pairs, bd.V):
+            thr = fbp.EDGE_FRAC * max(p.u.max(), p.v.max())
+            assert abs(V - left_edge(p.v, p.grid, thr)) <= 1e-12
+
+
 class TestFlux:
     def test_linear_profiles_give_half_the_slope(self):
         grid = GridSpec(0.0, 1.0, 100)
@@ -86,7 +117,9 @@ class TestFlux:
         p = ProfilePair(grid, np.clip(1.0 - r, 0.0, None),
                         np.clip(r, 0.0, None))
         assert fbp.boundary_flux_u(p, 1.0) == pytest.approx(0.5, abs=1e-9)
-        assert fbp.boundary_flux_v(p, 0.0) == pytest.approx(0.5, abs=1e-9)
+        # v's outward flux v_r/2 at its left edge 0, read on the mirror
+        assert fbp.boundary_flux_u(p.mirrored(), -0.0) == pytest.approx(
+            0.5, abs=1e-9)
 
     def test_flux_fit_needs_interior_room(self):
         grid = GridSpec(0.0, 1.0, 100)
@@ -153,6 +186,23 @@ class TestMcValidation:
             assert abs(report.mass.z) <= 4.0, report.to_dict()
             refs = [iv.reference for iv in report.intervals]
             assert max(refs) <= 1.5 * min(refs)
+
+    def test_v_intervals_tile_the_original_r(self, coarse_sol):
+        report = fbp.mc_validate(coarse_sol, 0.1, 200,
+                                 np.random.default_rng(3), side="v", dt=1e-3)
+        ivs = report.intervals
+        assert all(iv.r_lo < iv.r_hi for iv in ivs)
+        ivs = sorted(ivs, key=lambda iv: iv.r_lo)
+        assert all(a.r_hi == b.r_lo for a, b in zip(ivs, ivs[1:]))
+        # each reference mass is v's mass over the interval in the original r
+        ref = coarse_sol.profile_at(0.1)
+        for iv in ivs:
+            mass = (macro.tail_integral(ref.v, ref.grid, iv.r_lo)
+                    - macro.tail_integral(ref.v, ref.grid, iv.r_hi))
+            assert float(mass) == pytest.approx(iv.reference, abs=1e-12)
+        # the lowest interval starts at the refined boundary V
+        V = fbp.refined_boundary_curves(coarse_sol).V_at(0.1)
+        assert ivs[0].r_lo == pytest.approx(V, abs=1e-12)
 
     def test_mass_identity_direct(self, coarse_sol):
         rng = np.random.default_rng(5)

@@ -25,10 +25,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("bad", [dict(epsilon=0.0), dict(epsilon=1.5),
                                      dict(kappa=-1.0), dict(horizon_T=0.0),
-                                     dict(walk_rate=0.0),
+                                     dict(epsilon=np.nan),
                                      dict(kappa=np.inf),
-                                     dict(horizon_T=np.inf),
-                                     dict(walk_rate=np.nan)])
+                                     dict(horizon_T=np.inf)])
     def test_invalid_parameters(self, bad):
         with pytest.raises(SimulationError):
             cfg_small(**bad)
@@ -154,7 +153,7 @@ class TestRankSelection:
 
 class TestWalks:
     def test_positions_at_matches_jump_bookkeeping(self, rng):
-        real = PositionRealization.sample(np.array([0, 5, -3]), 20.0, 1.0, rng)
+        real = PositionRealization.sample(np.array([0, 5, -3]), 20.0, rng)
         for i in range(real.M):
             if len(real.jump_times[i]):
                 t_mid = float(real.jump_times[i][0]) / 2.0
@@ -166,7 +165,7 @@ class TestWalks:
 
     def test_jump_count_near_rate(self, rng):
         real = PositionRealization.sample(np.zeros(200, dtype=np.int64),
-                                          50.0, 1.0, rng)
+                                          50.0, rng)
         mean_jumps = np.mean([len(jt) for jt in real.jump_times])
         assert abs(mean_jumps - 50.0) <= 5.0 * np.sqrt(50.0 / 200)
 
@@ -228,43 +227,43 @@ def assert_uncorrelated(x: np.ndarray, y: np.ndarray) -> None:
 
 
 class TestStreamedWalks:
-    M, RATE, T_END = 20000, 1.5, 12.0
+    M, T_END = 20000, 18.0
 
     def walks(self, seed, rings, rng=None):
         x0 = np.random.default_rng(seed).integers(-50, 50, size=self.M)
         if rng is None:
             rng = np.random.default_rng(np.random.SeedSequence(seed))
-        return lattice.StreamedWalks(x0, self.T_END, self.RATE, rng, rings)
+        return lattice.StreamedWalks(x0, self.T_END, rng, rings)
 
     def test_displacements_follow_the_exact_law(self):
-        walks = self.walks(5, [4.0, 10.0])
-        x = walks.positions_at_many([0.0, 4.0, 10.0, self.T_END])
+        walks = self.walks(5, [6.0, 15.0])
+        x = walks.positions_at_many([0.0, 6.0, 15.0, self.T_END])
         assert np.array_equal(x[0], walks.x0)
         steps = np.diff(x, axis=0)
-        for step, dt in zip(steps, (4.0, 6.0, 2.0)):
-            assert_skellam(step, self.RATE * dt)
+        for step, dt in zip(steps, (6.0, 9.0, 3.0)):
+            assert_skellam(step, dt)
         assert_uncorrelated(steps[0], steps[1])
         assert_uncorrelated(steps[1], steps[2])
 
     def test_off_ring_query_is_an_exact_bridge(self):
         rng = np.random.default_rng(np.random.SeedSequence(6))
-        walks = self.walks(6, [2.0, 8.0], rng)
+        walks = self.walks(6, [3.0, 12.0], rng)
         rng_state = rng.bit_generator.state
         t = self.T_END / 3
         x_t = walks.positions_at(t)
-        # the marginal at t, and the two pieces of the gap (2, 8) it splits
-        assert_skellam(x_t - walks.x0, self.RATE * t)
-        x_lo, x_hi = walks.positions_at_many([2.0, 8.0])
-        assert_skellam(x_t - x_lo, self.RATE * (t - 2.0))
-        assert_skellam(x_hi - x_t, self.RATE * (8.0 - t))
+        # the marginal at t, and the two pieces of the gap (3, 12) it splits
+        assert_skellam(x_t - walks.x0, t)
+        x_lo, x_hi = walks.positions_at_many([3.0, 12.0])
+        assert_skellam(x_t - x_lo, t - 3.0)
+        assert_skellam(x_hi - x_t, 12.0 - t)
         assert_uncorrelated(x_t - x_lo, x_hi - x_t)
         # memoised: a repeated query, alone or among others, returns the same
         assert np.array_equal(walks.positions_at(t), x_t)
-        many = walks.positions_at_many([1.0, t, 5.0, t, 9.0])
+        many = walks.positions_at_many([1.5, t, 7.5, t, 13.5])
         assert np.array_equal(many[1], x_t) and np.array_equal(many[3], x_t)
         # later queries bridge between their nearest known neighbours:
         # parity and reach hold between every two consecutive known times
-        assert list(walks._times) == [0.0, 1.0, 2.0, t, 5.0, 8.0, 9.0,
+        assert list(walks._times) == [0.0, 1.5, 3.0, t, 7.5, 12.0, 13.5,
                                       self.T_END]
         steps = np.diff(walks.positions_at_many(walks._times), axis=0)
         jumps = np.diff(walks._jumps, axis=0)
@@ -274,8 +273,8 @@ class TestStreamedWalks:
         assert rng.bit_generator.state == rng_state
 
     def test_bridge_draws_are_deterministic_per_seed(self):
-        a, b = self.walks(7, [3.0]), self.walks(7, [3.0])
-        for t in (self.T_END / 3, 1.0, 11.5):
+        a, b = self.walks(7, [4.5]), self.walks(7, [4.5])
+        for t in (self.T_END / 3, 1.5, 17.25):
             assert np.array_equal(a.positions_at(t), b.positions_at(t))
 
     @pytest.mark.parametrize("epsilon, kappa, seed", [
@@ -300,22 +299,23 @@ class TestStreamedWalks:
             assert np.array_equal(st.colors, colors)
         assert traj.absent_flip_count == absent
 
-    @pytest.mark.parametrize("rate, tau", [(1.0, 0.3), (2.0, 2.5),
-                                           (1.5, 25.0), (0.5, 2500.0)])
-    def test_evolve_positions_draws_are_unchanged(self, rate, tau):
+    # each case evolves over scale * tau: a walk jumping at rate `scale`
+    # for time tau, the mean jump counts 0.3, 5, 37.5 and 1250
+    @pytest.mark.parametrize("scale, tau", [(1.0, 0.3), (2.0, 2.5),
+                                            (1.5, 25.0), (0.5, 2500.0)])
+    def test_evolve_positions_draws_are_unchanged(self, scale, tau):
         ps = ParticleState(np.arange(-20, 20), np.tile([A, B], 20), time=1.0)
         g1, g2 = (np.random.default_rng(np.random.SeedSequence(9))
                   for _ in range(2))
-        out = lattice.evolve_positions(ps, 1.0, 1.0 + tau, g1, walk_rate=rate)
+        out = lattice.evolve_positions(ps, 1.0, 1.0 + scale * tau, g1)
         # the formula the sampler has always used, written out
-        n = g2.poisson(rate * tau, size=ps.M)
+        n = g2.poisson(scale * tau, size=ps.M)
         disp = 2 * g2.binomial(n, 0.5) - n
         assert np.array_equal(out.positions, ps.positions + disp)
         assert g1.bit_generator.state == g2.bit_generator.state
 
     def test_positions_at_many_stacks_positions_at(self, rng):
-        real = PositionRealization.sample(np.array([0, 5, -3, 2]), 20.0, 1.0,
-                                          rng)
+        real = PositionRealization.sample(np.array([0, 5, -3, 2]), 20.0, rng)
         times = [20.0, 0.0, float(real.jump_times[0][0]), 7.5, 3.0]
         many = real.positions_at_many(times)
         assert many.shape == (len(times), real.M)

@@ -47,6 +47,17 @@ class TestGrids:
         with pytest.raises(ProfileError):
             ProfilePair(grid, -np.ones(5), np.ones(5))
 
+    def test_profile_mirror_is_an_involution(self, rng):
+        p = random_class_u_pair(rng)
+        m = p.mirrored()
+        assert m.grid == p.grid.mirrored()
+        assert np.array_equal(m.u, p.v[::-1]) and np.array_equal(m.v, p.u[::-1])
+        assert (m.mass_u, m.mass_v) == (p.mass_v, p.mass_u)
+        back = m.mirrored()
+        assert back.grid == p.grid
+        assert np.array_equal(back.u, p.u) and np.array_equal(back.v, p.v)
+        assert (back.mass_u, back.mass_v) == (p.mass_u, p.mass_v)
+
     @pytest.mark.parametrize("left, right, mass", [
         (-1.0, np.inf, 1.0), (-np.inf, 1.0, 1.0), (np.nan, 1.0, 1.0),
         (-1.0, 1.0, np.nan), (-1.0, 1.0, np.inf), (-1.0, 1.0, -1.0)])
@@ -335,7 +346,8 @@ class TestBarriers:
     @pytest.mark.parametrize("T, delta", [(float("nan"), 0.1),
                                           (float("inf"), 0.1),
                                           (1.0, float("nan")),
-                                          (1.0, float("inf")), (1.0, 0.0)])
+                                          (1.0, float("inf")), (1.0, 0.0),
+                                          (-0.1, 0.1)])
     def test_step_count_rejects_nonfinite_or_zero(self, T, delta):
         with pytest.raises(ProfileError):
             macro.step_count(T, delta)
