@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import numbers
 import sys
 import time
@@ -30,11 +29,6 @@ from . import __version__, coupling, fbp, lattice, macro
 
 class ConfigError(Exception):
     pass
-
-
-# Seeds are integers of any size, since SeedSequence takes big integers;
-# every other integer key is a count or size that numpy takes as an int64.
-SEED = numbers.Integral
 
 
 # ---------------------------------------------------------------------------
@@ -60,71 +54,99 @@ def _finite(val) -> bool:
     return abs(val) <= sys.float_info.max
 
 
-def require(cfg: dict, key: str, typ=None):
-    if key not in cfg:
-        raise ConfigError(f"missing config key {key!r}")
-    val = cfg[key]
-    if typ is None:
-        return val
-    types = typ if isinstance(typ, tuple) else (typ,)
-    # JSON true/false load as bool, a subclass of int: only bool keys take them
-    if not isinstance(val, types) or (isinstance(val, bool)
-                                      and bool not in types):
-        raise ConfigError(f"config key {key!r} has wrong type")
-    if float in types and not _finite(val):
-        raise ConfigError(f"config key {key!r} must be a finite number")
-    if types == (int,) and not -2**63 <= val < 2**63:
-        raise ConfigError(f"config key {key!r} does not fit an int64")
+def _number(val) -> bool:
+    """A finite number that is not a bool, as `_checked` takes for NUMBER."""
+    return isinstance(val, NUMBER) and not isinstance(val, bool) and _finite(val)
+
+
+# A schema maps each key to (type, default or REQUIRED, bound or None); a
+# type that is itself a schema is a nested block, and a bound is (test, what).
+# Seeds are integers of any size, since SeedSequence takes big integers;
+# every other integer key is a count or size that numpy takes as an int64.
+REQUIRED = object()
+NUMBER = (int, float)
+SEED = numbers.Integral
+POSITIVE = (lambda v: v > 0, "positive")
+NONNEGATIVE = (lambda v: v >= 0, "nonnegative")
+TENT = (lambda v: len(v) == 3 and all(map(_number, v)),
+        "[left, right, mass], three finite numbers")
+
+GRID = {"r_min": (NUMBER, REQUIRED, None), "r_max": (NUMBER, REQUIRED, None),
+        "n_cells": (int, REQUIRED, None)}
+PROFILE = {"grid": (GRID, REQUIRED, None), "u_tent": (list, REQUIRED, TENT),
+           "v_tent": (list, REQUIRED, TENT)}
+SIM = {"epsilon": (NUMBER, REQUIRED, None), "kappa": (NUMBER, REQUIRED, None),
+       "horizon_T": (NUMBER, REQUIRED, None),
+       "seed": (SEED, REQUIRED, NONNEGATIVE), "profile": (PROFILE, None, None)}
+MACRO = {"kappa": (NUMBER, REQUIRED, NONNEGATIVE),
+         "delta": (NUMBER, REQUIRED, POSITIVE),
+         "horizon_T": (NUMBER, REQUIRED, POSITIVE),
+         "profile": (PROFILE, None, None)}
+EXHAUSTIVE = {"max_particles": (int, 4, POSITIVE), "n_sites": (int, 4, POSITIVE),
+              "max_marks": (int, 3, NONNEGATIVE)}
+MC = {"t": (NUMBER, REQUIRED, NONNEGATIVE), "n_paths": (int, REQUIRED, POSITIVE),
+      "seed": (SEED, 0, NONNEGATIVE), "dt": (NUMBER, 1e-4, POSITIVE),
+      "z_max": (NUMBER, 4.0, NONNEGATIVE)}
+SCHEMAS = {
+    "simulate": SIM,
+    "couple-verify": {
+        "exhaustive": (EXHAUSTIVE, None, None),
+        "sandwich": (SIM | {"delta": (NUMBER, REQUIRED, POSITIVE)}, None, None)},
+    "barriers": MACRO,
+    "fbp": MACRO | {"mc": (MC, None, None)},
+    # a t_eval of None means horizon_T
+    "hydro-compare": SIM | {"t_eval": (NUMBER, None, NONNEGATIVE),
+                            "delta_ref": (NUMBER, 0.01, POSITIVE),
+                            "threshold": (NUMBER, None, NONNEGATIVE)},
+}
+
+
+def read(cfg: dict, schema: dict, where: str = "") -> dict:
+    """Check cfg against schema and return it with the defaults filled in;
+    `where` is the dotted prefix of a nested block in error messages."""
+    for key in cfg:
+        if key not in schema:
+            raise ConfigError(f"unknown config key {where + key!r}")
+    out = {}
+    for key, (typ, default, bound) in schema.items():
+        name = where + key
+        if key not in cfg:
+            if default is REQUIRED:
+                raise ConfigError(f"missing config key {name!r}")
+            out[key] = default
+        elif isinstance(typ, dict):
+            out[key] = read(_checked(cfg[key], dict, None, name), typ, name + ".")
+        else:
+            out[key] = _checked(cfg[key], typ, bound, name)
+    return out
+
+
+def _checked(val, typ, bound, name: str):
+    # JSON true/false load as bool, a subclass of int: no key takes them
+    if not isinstance(val, typ) or isinstance(val, bool):
+        raise ConfigError(f"config key {name!r} has wrong type")
+    if typ is NUMBER and not _finite(val):
+        raise ConfigError(f"config key {name!r} must be a finite number")
+    if typ is int and not -2**63 <= val < 2**63:
+        raise ConfigError(f"config key {name!r} does not fit an int64")
+    if bound is not None and not bound[0](val):
+        raise ConfigError(f"config key {name!r} must be {bound[1]}")
     return val
-
-
-def optional(cfg: dict, key: str, typ, default):
-    """Like `require`, but an absent key gives `default`."""
-    return require(cfg, key, typ) if key in cfg else default
-
-
-def positive(val, key: str):
-    if not 0 < val < math.inf:
-        raise ConfigError(f"config key {key!r} must be positive and finite")
-    return val
-
-
-def nonnegative(val, key: str):
-    if not val >= 0:
-        raise ConfigError(f"config key {key!r} must be nonnegative")
-    return val
-
-
-def grid_from_config(spec: dict) -> macro.GridSpec:
-    return macro.GridSpec(require(spec, "r_min", (int, float)),
-                          require(spec, "r_max", (int, float)),
-                          require(spec, "n_cells", int))
 
 
 def profile_from_config(cfg: dict) -> macro.ProfilePair:
     """Build the initial datum; defaults to the overlapping tents."""
-    spec = optional(cfg, "profile", dict, None)
+    spec = cfg["profile"]
     if spec is None:
         return macro.tent_pair()
-    grid = grid_from_config(require(spec, "grid", dict))
-    ut = require(spec, "u_tent", list)
-    vt = require(spec, "v_tent", list)
-    for key, entries in (("u_tent", ut), ("v_tent", vt)):
-        if len(entries) != 3 or not all(
-                isinstance(x, (int, float)) and not isinstance(x, bool)
-                and _finite(x) for x in entries):
-            raise ConfigError(f"{key} must be [left, right, mass], "
-                              "three finite numbers")
-    return macro.ProfilePair(grid, macro.tent(grid, *ut), macro.tent(grid, *vt))
+    grid = macro.GridSpec(**spec["grid"])
+    return macro.ProfilePair(grid, macro.tent(grid, *spec["u_tent"]),
+                             macro.tent(grid, *spec["v_tent"]))
 
 
 def sim_config(cfg: dict) -> lattice.SimConfig:
-    return lattice.SimConfig(
-        epsilon=require(cfg, "epsilon", (int, float)),
-        kappa=require(cfg, "kappa", (int, float)),
-        horizon_T=require(cfg, "horizon_T", (int, float)),
-        seed=nonnegative(require(cfg, "seed", SEED), "seed"),
-    )
+    return lattice.SimConfig(epsilon=cfg["epsilon"], kappa=cfg["kappa"],
+                             horizon_T=cfg["horizon_T"], seed=cfg["seed"])
 
 
 def write_manifest(out: Path, args, cfg: dict, t0: float) -> None:
@@ -188,22 +210,15 @@ def cmd_simulate(args, cfg: dict, out: Path) -> int:
 def cmd_couple_verify(args, cfg: dict, out: Path) -> int:
     report: dict = {}
     ok = True
-    enum_cfg = optional(cfg, "exhaustive", dict, None)
-    if enum_cfg is not None:
-        rep = coupling.exhaustive_balance_check(
-            max_particles=positive(optional(enum_cfg, "max_particles", int, 4),
-                                   "max_particles"),
-            n_sites=positive(optional(enum_cfg, "n_sites", int, 4), "n_sites"),
-            max_marks=nonnegative(optional(enum_cfg, "max_marks", int, 3),
-                                  "max_marks"))
+    if cfg["exhaustive"] is not None:
+        rep = coupling.exhaustive_balance_check(**cfg["exhaustive"])
         report["exhaustive"] = vars(rep)
         ok = ok and rep.ok
-    sand_cfg = optional(cfg, "sandwich", dict, None)
+    sand_cfg = cfg["sandwich"]
     if sand_cfg is not None:
-        scfg = sim_config(sand_cfg)
-        profile = profile_from_config(sand_cfg)
-        delta = positive(require(sand_cfg, "delta", (int, float)), "delta")
-        srep = coupling.verify_sandwich(scfg, profile, delta, args.seeds)
+        srep = coupling.verify_sandwich(sim_config(sand_cfg),
+                                        profile_from_config(sand_cfg),
+                                        sand_cfg["delta"], args.seeds)
         report["sandwich"] = srep.to_dict()
         ok = ok and srep.ok
     if not report:
@@ -213,11 +228,9 @@ def cmd_couple_verify(args, cfg: dict, out: Path) -> int:
 
 
 def cmd_barriers(args, cfg: dict, out: Path) -> int:
-    kappa = require(cfg, "kappa", (int, float))
-    delta = positive(require(cfg, "delta", (int, float)), "delta")
-    T = positive(require(cfg, "horizon_T", (int, float)), "horizon_T")
+    kappa, delta = cfg["kappa"], cfg["delta"]
     p0 = profile_from_config(cfg)
-    n = macro.step_count(T, delta)
+    n = macro.step_count(cfg["horizon_T"], delta)
     try:
         minus = macro.iterate_barriers(p0, delta, kappa, n, "minus")
         plus = macro.iterate_barriers(p0, delta, kappa, n, "plus")
@@ -243,33 +256,25 @@ def cmd_barriers(args, cfg: dict, out: Path) -> int:
 
 
 def cmd_fbp(args, cfg: dict, out: Path) -> int:
-    kappa = require(cfg, "kappa", (int, float))
-    delta = positive(require(cfg, "delta", (int, float)), "delta")
-    T = positive(require(cfg, "horizon_T", (int, float)), "horizon_T")
-    p0 = profile_from_config(cfg)
-    sol = fbp.solve_reference(p0, kappa, T, delta,
-                              both_variants=optional(cfg, "both_variants",
-                                                     bool, True))
+    mc_cfg = cfg["mc"]
+    if mc_cfg is not None and mc_cfg["t"] > cfg["horizon_T"]:
+        raise ConfigError(f"config key 'mc.t' exceeds horizon_T {cfg['horizon_T']}")
+    sol = fbp.solve_reference(profile_from_config(cfg), cfg["kappa"],
+                              cfg["horizon_T"], cfg["delta"])
     fbp.boundaries_to_csv(sol.boundaries, out / "boundaries.csv")
     macro.profile_to_csv(sol.minus[-1], out / "final_minus.csv")
     fbp.solution_summary_json(sol, out / "summary.json")
     report = {"summary": fbp.solution_summary(sol)}
     ok = not sol.annihilated
-    mc_cfg = optional(cfg, "mc", dict, None)
     if mc_cfg is not None:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(
-                nonnegative(optional(mc_cfg, "seed", SEED, 0), "mc.seed")))
-        z_max = nonnegative(optional(mc_cfg, "z_max", (int, float), 4.0),
-                            "mc.z_max")
-        t = require(mc_cfg, "t", (int, float))
-        n_paths = positive(require(mc_cfg, "n_paths", int), "n_paths")
-        dt = positive(optional(mc_cfg, "dt", (int, float), 1e-4), "dt")
+        rng = np.random.default_rng(np.random.SeedSequence(mc_cfg["seed"]))
         checks = []
         for side in ("u", "v"):
-            mc = fbp.mc_validate(sol, t, n_paths, rng, side=side, dt=dt)
+            mc = fbp.mc_validate(sol, mc_cfg["t"], mc_cfg["n_paths"], rng,
+                                 side=side, dt=mc_cfg["dt"])
             checks.append(mc.to_dict())
-            ok = ok and mc.max_abs_z <= z_max and abs(mc.mass.z) <= 3.0
+            ok = (ok and mc.max_abs_z <= mc_cfg["z_max"]
+                  and abs(mc.mass.z) <= 3.0)
         report["mc"] = checks
     write_report(out, report)
     return 0 if ok else 1
@@ -278,17 +283,11 @@ def cmd_fbp(args, cfg: dict, out: Path) -> int:
 def cmd_hydro_compare(args, cfg: dict, out: Path) -> int:
     scfg = sim_config(cfg)
     profile = profile_from_config(cfg)
-    t_eval = nonnegative(optional(cfg, "t_eval", (int, float), scfg.horizon_T),
-                         "t_eval")
+    t_eval = scfg.horizon_T if cfg["t_eval"] is None else cfg["t_eval"]
     if t_eval > scfg.horizon_T:
         raise ConfigError(f"t_eval {t_eval} exceeds horizon_T {scfg.horizon_T}: "
                           "the clock rings only up to horizon_T")
-    delta_ref = positive(optional(cfg, "delta_ref", (int, float), 0.01),
-                         "delta_ref")
-    threshold = optional(cfg, "threshold", (int, float), None)
-    if threshold is not None:
-        nonnegative(threshold, "threshold")
-    sol = fbp.solve_reference(profile, scfg.kappa, t_eval, delta_ref)
+    sol = fbp.solve_reference(profile, scfg.kappa, t_eval, cfg["delta_ref"])
     ref = sol.profile_at(t_eval)
     rs = ref.grid.nodes()
     ref_tail_u = np.asarray(macro.tail_integral(ref.u, ref.grid, rs))
@@ -313,13 +312,13 @@ def cmd_hydro_compare(args, cfg: dict, out: Path) -> int:
     devs = np.array([max(r["sup_dev_u"], r["sup_dev_v"]) for r in rows])
     mean = float(devs.mean())
     se = float(devs.std(ddof=1) / np.sqrt(len(devs))) if len(devs) > 1 else 0.0
-    ok = threshold is None or mean <= threshold
+    ok = cfg["threshold"] is None or mean <= cfg["threshold"]
     write_report(out, {
         "t_eval": t_eval,
         "epsilon": scfg.epsilon,
         "mean_sup_dev": mean,
         "se_sup_dev": se,
-        "threshold": threshold,
+        "threshold": cfg["threshold"],
         "runs": rows,
     })
     return 0 if ok else 1
@@ -360,12 +359,13 @@ def main(argv=None) -> int:
     t0 = time.time()
     try:
         cfg = load_config(args.config)
+        values = read(cfg, SCHEMAS[args.command])
         out = Path(args.out)
         try:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory: {exc}") from exc
-        status = COMMANDS[args.command](args, cfg, out)
+        status = COMMANDS[args.command](args, values, out)
         write_manifest(out, args, cfg, t0)
         return status
     except (ConfigError, macro.ProfileError, lattice.SimulationError) as exc:

@@ -270,6 +270,14 @@ def absorption_prob_const(r0: float, a: float, t: float) -> float:
     return 2.0 * (1.0 - 0.5 * (1.0 + math.erf((a - r0) / math.sqrt(2.0 * t))))
 
 
+def binomial_var(p_hat: float, n: int, weight: float = 1.0) -> float:
+    """Variance of weight * p_hat for a proportion p_hat of n trials.  p_hat
+    is clipped to [1/(n+1), n/(n+1)], so a count of 0 or n keeps a nonzero
+    standard error; any other count is left as it is."""
+    p = min(max(p_hat, 1 / (n + 1)), n / (n + 1))
+    return weight**2 * p * (1 - p) / n
+
+
 def constant_boundary_check(r0: float, a: float, t: float, n_paths: int,
                             dt: float, rng: np.random.Generator
                             ) -> tuple[float, float, float]:
@@ -278,7 +286,7 @@ def constant_boundary_check(r0: float, a: float, t: float, n_paths: int,
     _, absorbed = simulate_absorbed(np.full(n_paths, r0), np.zeros(n_paths),
                                     t, lambda ts: np.full_like(ts, a), dt, rng)
     p = float(np.mean(absorbed))
-    se = math.sqrt(max(p * (1 - p), 1e-12) / n_paths)
+    se = math.sqrt(binomial_var(p, n_paths))
     return p, absorption_prob_const(r0, a, t), se
 
 
@@ -398,20 +406,17 @@ def mc_validate(sol: FbpSolution, t: float, n_paths: int,
         c0 = int(np.count_nonzero(~ab0 & (xf0 >= a) & (xf0 < b)))
         cs = int(np.count_nonzero(~abs_ & (xfs >= a) & (xfs < b)))
         est = w0 * c0 + ws * cs
-        p0_hat, ps_hat = c0 / n0, cs / ns
-        var = (mass0**2 * p0_hat * (1 - p0_hat) / n0
-               + kappa_t**2 * ps_hat * (1 - ps_hat) / ns)
+        var = (binomial_var(c0 / n0, n0, mass0)
+               + binomial_var(cs / ns, ns, kappa_t))
         # reported in the original r, where the mirrored [a, b) is (-b, -a]
         intervals.append(IntervalCheck(*((a, b) if side == "u" else (-b, -a)),
-                                       ref_mass, est, math.sqrt(max(var, 1e-300))))
+                                       ref_mass, est, math.sqrt(var)))
 
     pa0 = float(np.mean(ab0))
     pas = float(np.mean(abs_))
     est_mass = mass0 * pa0 + kappa_t * pas
-    var_mass = (mass0**2 * pa0 * (1 - pa0) / n0
-                + kappa_t**2 * pas * (1 - pas) / ns)
-    mass = MassIdentityCheck(t, kappa_t, est_mass,
-                             math.sqrt(max(var_mass, 1e-300)))
+    var_mass = binomial_var(pa0, n0, mass0) + binomial_var(pas, ns, kappa_t)
+    mass = MassIdentityCheck(t, kappa_t, est_mass, math.sqrt(var_mass))
     return McReport(side, t, intervals, mass)
 
 

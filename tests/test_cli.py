@@ -1,5 +1,6 @@
 """End-to-end runs of the command line harness."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -114,6 +115,16 @@ class TestFbp:
         report = json.loads((out / "report.json").read_text())
         assert report["summary"]["n_steps"] == 10
         assert {c["side"] for c in report["mc"]} == {"u", "v"}
+
+    def test_interval_without_paths_keeps_a_standard_error(self, tmp_path):
+        # at t 0 some interval can hold no path at all; its plug-in variance
+        # p(1 - p) would be 0 and its |z| near 1e149
+        cfg = {"kappa": 0.5, "delta": 0.05, "horizon_T": 0.1,
+               "mc": {"t": 0, "n_paths": 10}}
+        code, out = run(tmp_path, "fbp", cfg)
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert all(c["max_abs_z"] < 4.0 for c in report["mc"])
 
 
 class TestHydroCompare:
@@ -236,11 +247,53 @@ class TestUsageErrors:
                                             delta=5.0)}),
         ("couple-verify", {"sandwich": dict(SIM_CFG, horizon_T=1.0,
                                             delta=0.3)}),
+        # an MC time outside [0, horizon_T]
+        ("fbp", {"kappa": 0.5, "delta": 0.05, "horizon_T": 0.1,
+                 "mc": {"t": -0.1, "n_paths": 10}}),
+        ("fbp", {"kappa": 0.5, "delta": 0.05, "horizon_T": 0.1,
+                 "mc": {"t": 0.2, "n_paths": 10}}),
     ])
     def test_bad_value_is_a_usage_error(self, tmp_path, capsys, command, cfg):
         code, _ = run(tmp_path, command, cfg)
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("t", [-0.1, 0.2])
+    def test_mc_time_outside_the_horizon_is_named(self, tmp_path, capsys, t):
+        cfg = {"kappa": 0.5, "delta": 0.05, "horizon_T": 0.1,
+               "mc": {"t": t, "n_paths": 10}}
+        code, _ = run(tmp_path, "fbp", cfg)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'mc.t'" in err
+
+    @pytest.mark.parametrize("command", ["barriers", "fbp"])
+    def test_negative_kappa_is_named(self, tmp_path, capsys, command):
+        cfg = {"kappa": -0.5, "delta": 0.05, "horizon_T": 0.1}
+        code, _ = run(tmp_path, command, cfg)
+        assert code == 2
+        assert "'kappa'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, cfg, key", [
+        ("hydro-compare", dict(SIM_CFG, treshold=0.0), "treshold"),
+        ("hydro-compare", dict(SIM_CFG, deltaref=0.05), "deltaref"),
+        ("fbp", {"kappa": 0.5, "delta": 0.05, "horizon_T": 0.1,
+                 "both_variants": False}, "both_variants"),
+        ("fbp", {"kappa": 0.5, "delta": 0.05, "horizon_T": 0.1,
+                 "mc": {"t": 0.1, "n_path": 10}}, "mc.n_path"),
+        ("couple-verify", {"exhaustive": {"max_particle": 2}},
+         "exhaustive.max_particle"),
+        ("couple-verify", {"sandwich": dict(SIM_CFG, deltaa=0.25)},
+         "sandwich.deltaa"),
+        ("simulate", dict(SIM_CFG, profile=dict(
+            TENT_PROFILE, grid={"r_min": -2.0, "r_max": 2.0, "ncells": 400})),
+         "profile.grid.ncells"),
+    ])
+    def test_unknown_key_is_named(self, tmp_path, capsys, command, cfg, key):
+        code, _ = run(tmp_path, command, cfg)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"'{key}'" in err
 
     def test_missing_config_file(self, tmp_path):
         code = main(["simulate", "--config", str(tmp_path / "nope.json"),
@@ -292,3 +345,38 @@ class TestUsageErrors:
     def test_unknown_command(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["frobnicate", "--config", "x", "--out", "y"])
+
+
+def readme_json_blocks():
+    """(heading, parsed block) for each ```json block of the README's
+    "Command line" section; the heading is the last ### title above it, or
+    None for the shared blocks before the first one."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    heading, block, blocks = None, None, []
+    for line in section.splitlines():
+        if line.startswith("### "):
+            heading = line[4:].strip()
+        elif line.strip() == "```json":
+            block = []
+        elif line.strip() == "```" and block is not None:
+            blocks.append((heading, json.loads("\n".join(block))))
+            block = None
+        elif block is not None:
+            block.append(line)
+    return blocks
+
+
+class TestReadmeConfigs:
+    def test_every_subcommand_has_a_config(self):
+        headings = {h for h, _ in readme_json_blocks()}
+        assert headings == set(cli.SCHEMAS) | {None}
+
+    @pytest.mark.parametrize("heading, block", [
+        pytest.param(h, b, id=h or "profile") for h, b in readme_json_blocks()])
+    def test_config_passes_the_schema(self, heading, block):
+        if heading is None:
+            assert list(block) == ["profile"]
+            cli.read(block["profile"], cli.PROFILE, "profile.")
+        else:
+            cli.read(block, cli.SCHEMAS[heading])

@@ -215,6 +215,15 @@ class TestMcValidation:
             fbp.mc_validate(coarse_sol, 0.1, 10,
                             np.random.default_rng(0), side="w")
 
+    def test_binomial_variance_clips_only_empty_and_full_counts(self):
+        n = 10
+        for c in range(1, n):
+            p = c / n
+            assert fbp.binomial_var(p, n, 2.0) == 2.0**2 * p * (1 - p) / n
+        edge = (1 / 11) * (10 / 11) / n
+        assert fbp.binomial_var(0.0, n) == pytest.approx(edge)
+        assert fbp.binomial_var(1.0, n) == pytest.approx(edge)
+
 
 class TestExport:
     def test_boundaries_csv(self, coarse_sol, tmp_path):
