@@ -257,8 +257,15 @@ def cmd_barriers(args, cfg: dict, out: Path) -> int:
 
 def cmd_fbp(args, cfg: dict, out: Path) -> int:
     mc_cfg = cfg["mc"]
-    if mc_cfg is not None and mc_cfg["t"] > cfg["horizon_T"]:
-        raise ConfigError(f"config key 'mc.t' exceeds horizon_T {cfg['horizon_T']}")
+    if mc_cfg is not None:
+        if mc_cfg["t"] > cfg["horizon_T"]:
+            raise ConfigError("config key 'mc.t' exceeds horizon_T "
+                              f"{cfg['horizon_T']}")
+        try:
+            macro.step_count(mc_cfg["t"], mc_cfg["dt"])
+        except macro.ProfileError:
+            raise ConfigError(f"config key 'mc.dt' {mc_cfg['dt']} does not "
+                              f"divide mc.t {mc_cfg['t']}") from None
     sol = fbp.solve_reference(profile_from_config(cfg), cfg["kappa"],
                               cfg["horizon_T"], cfg["delta"])
     fbp.boundaries_to_csv(sol.boundaries, out / "boundaries.csv")

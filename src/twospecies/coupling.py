@@ -2,10 +2,12 @@
 
 Two color assignments sigma (copy 1) and sigma' (copy 2) ride on one set of
 positions.  Labels are split into married pairs P, singletons S and
-discrepancy sets I, J; flips on either copy update the splitting through the
-C-map case tables, walk collisions dissolve pairs, and the balance
-identities tie the discrepancy counts to the mark tallies.  Labels are
-1-based throughout, matching the lattice module.
+discrepancy sets I, J.  The state stores only P: S holds the labels colored
+alike in both copies, I the unmarried (b,a) labels and J the unmarried (a,b)
+labels, so they are read off the two colorings.  Flips on either copy update
+P through the C-map case tables, walk collisions dissolve pairs, and the
+balance identities tie the discrepancy counts to the mark tallies.  Labels
+are 1-based throughout, matching the lattice module.
 """
 from __future__ import annotations
 
@@ -38,11 +40,13 @@ def _names(codes, names: tuple[str, str]) -> tuple[str, ...]:
 
 @dataclass
 class CoupledState:
-    """Positions shared by two color copies; arrays indexed by label-1."""
+    """Positions shared by two color copies, arrays indexed by label-1, and
+    the married pairs P: each pair holds an (a,b) label, then a (b,a) one."""
 
     positions: np.ndarray
     sigma: np.ndarray
     sigma_prime: np.ndarray
+    pairs: set[tuple[int, int]] = field(default_factory=set, init=False)
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=np.int64).copy()
@@ -51,6 +55,12 @@ class CoupledState:
                                     CouplingError).copy()
         if not (len(self.positions) == len(self.sigma) == len(self.sigma_prime)):
             raise CouplingError("positions and both color arrays must align")
+
+    def copy(self) -> "CoupledState":
+        """An independent copy; the arrays are not checked again."""
+        out = object.__new__(CoupledState)
+        out.__dict__ = {key: val.copy() for key, val in vars(self).items()}
+        return out
 
     @property
     def M(self) -> int:
@@ -62,50 +72,55 @@ class CoupledState:
     def spec(self, label: int) -> tuple[int, int]:
         return int(self.sigma[label - 1]), int(self.sigma_prime[label - 1])
 
+    @property
+    def singles(self) -> dict[int, int]:
+        """S: each label colored alike in both copies, with its color."""
+        return {lab: c for lab, (c, c_p) in enumerate(
+            zip(self.sigma.tolist(), self.sigma_prime.tolist()), 1) if c == c_p}
 
-@dataclass
-class Splitting:
-    """Quadruple (P, S, I, J): pairs, tagged singletons, discrepancies."""
+    @property
+    def disc_I(self) -> set[int]:
+        """I: the unmarried (b,a) labels."""
+        return set(_unmarried(self, 1))
 
-    pairs: set[tuple[int, int]] = field(default_factory=set)
-    singles: dict[int, int] = field(default_factory=dict)
-    disc_I: set[int] = field(default_factory=set)
-    disc_J: set[int] = field(default_factory=set)
-
-    def copy(self) -> "Splitting":
-        return Splitting(set(self.pairs), dict(self.singles),
-                         set(self.disc_I), set(self.disc_J))
-
-    def members(self) -> list[int]:
-        out = [lab for pr in self.pairs for lab in pr]
-        out += list(self.singles) + list(self.disc_I) + list(self.disc_J)
-        return out
+    @property
+    def disc_J(self) -> set[int]:
+        """J: the unmarried (a,b) labels."""
+        return set(_unmarried(self, 0))
 
 
-def check_splitting(spl: Splitting, cs: CoupledState) -> None:
-    """Assert the partition, pair-position and tag-consistency invariants."""
-    members = spl.members()
-    if sorted(members) != list(range(1, cs.M + 1)):
-        raise SplittingFault(f"not a partition of labels 1..{cs.M}: {sorted(members)}")
-    for i, j in spl.pairs:
+def _pair_holding(cs: CoupledState, lab: int, slot: int
+                  ) -> tuple[int, int] | None:
+    """The pair with `lab` at position `slot` (0: the (a,b) label)."""
+    for pr in cs.pairs:
+        if pr[slot] == lab:
+            return pr
+    return None
+
+
+def _unmarried(cs: CoupledState, slot: int):
+    """Unmarried labels colored `slot` in copy 1 only, largest first: J for
+    0 (a), I for 1 (b); a pair holds such labels in slot `slot`."""
+    sigma, sigma_p = cs.sigma.tolist(), cs.sigma_prime.tolist()
+    for lab in range(cs.M, 0, -1):
+        if (sigma[lab - 1] == slot != sigma_p[lab - 1]
+                and _pair_holding(cs, lab, slot) is None):
+            yield lab
+
+
+def check_splitting(cs: CoupledState) -> None:
+    """Assert that the pairs are disjoint, each (a,b) then (b,a) with
+    x_i > x_j.  S, I and J partition the other labels by construction."""
+    married = [lab for pr in cs.pairs for lab in pr]
+    if len(set(married)) < len(married):
+        raise SplittingFault(f"a label is married twice: {sorted(cs.pairs)}")
+    for i, j in cs.pairs:
         if cs.spec(i) != (A, B) or cs.spec(j) != (B, A):
             raise SplittingFault(f"pair ({i},{j}) has specs "
                                  f"{_names(cs.spec(i), COLORS)}, "
                                  f"{_names(cs.spec(j), COLORS)}")
         if not cs.x(i) > cs.x(j):
             raise SplittingFault(f"pair ({i},{j}) violates x_{i} > x_{j}")
-    for lab, tag in spl.singles.items():
-        if cs.spec(lab) != (tag, tag):
-            raise SplittingFault(f"singleton {lab}:{COLORS[tag]} has spec "
-                                 f"{_names(cs.spec(lab), COLORS)}")
-    for lab in spl.disc_I:
-        if cs.spec(lab) != (B, A):
-            raise SplittingFault(f"I-discrepancy {lab} has spec "
-                                 f"{_names(cs.spec(lab), COLORS)}")
-    for lab in spl.disc_J:
-        if cs.spec(lab) != (A, B):
-            raise SplittingFault(f"J-discrepancy {lab} has spec "
-                                 f"{_names(cs.spec(lab), COLORS)}")
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +155,8 @@ def order_witness(positions: np.ndarray, lo: np.ndarray, hi: np.ndarray
 # splitting construction (same-site color exchanges allowed)
 
 
-def build_splitting(cs: CoupledState, exchange_copy: int = 2) -> Splitting:
-    """Construct a discrepancy-free splitting for an ordered coupled state.
+def build_splitting(cs: CoupledState, exchange_copy: int = 2) -> None:
+    """Marry cs into a discrepancy-free splitting of an ordered coupled state.
 
     Requires matched a-counts and sigma' dominated by sigma.  May exchange
     colors between same-site particles (an occupation-preserving move) to
@@ -158,22 +173,20 @@ def build_splitting(cs: CoupledState, exchange_copy: int = 2) -> Splitting:
     if gap > 0:
         raise CouplingError(f"order hypothesis fails at site {site} (excess {gap})")
 
-    spl = Splitting()
+    cs.pairs = set()
     ab: dict[int, list[int]] = {}
     ba: dict[int, list[int]] = {}
     for lab in range(1, cs.M + 1):
         sp = cs.spec(lab)
-        if sp[0] == sp[1]:
-            spl.singles[lab] = sp[0]
-        elif sp == (A, B):
+        if sp == (A, B):
             ab.setdefault(cs.x(lab), []).append(lab)
-        else:
+        elif sp == (B, A):
             ba.setdefault(cs.x(lab), []).append(lab)
 
     # cancel opposite discrepancies sharing a site by a same-site color swap
     for x in list(ab):
         while ab.get(x) and ba.get(x):
-            _dissolve_pair(spl, cs, (ab[x].pop(), ba[x].pop()), exchange_copy)
+            _dissolve_pair(cs, (ab[x].pop(), ba[x].pop()), exchange_copy)
 
     # marry the rest scanning sites from the right; the order hypothesis
     # guarantees an unmatched (a,b) label strictly to the right of each (b,a)
@@ -183,50 +196,33 @@ def build_splitting(cs: CoupledState, exchange_copy: int = 2) -> Splitting:
         for k in ba.get(x, []):
             if not stack:
                 raise CouplingError(f"no (a,b) label available right of site {x}")
-            spl.pairs.add((stack.pop(), k))
+            cs.pairs.add((stack.pop(), k))
     if stack:
         raise CouplingError("unmatched (a,b) labels remain; a-counts inconsistent")
-    check_splitting(spl, cs)
-    return spl
+    check_splitting(cs)
 
 
 # ---------------------------------------------------------------------------
 # R-maps: collision-driven pair dissolution (plus the identity)
 
 
-def _dissolve_pair(spl: Splitting, cs: CoupledState, pr: tuple[int, int],
-                   exchange_copy: int) -> None:
+def _dissolve_pair(cs: CoupledState, pr: tuple[int, int], exchange_copy: int
+                   ) -> None:
     """Turn one same-site pair, (a,b) label first, into two singletons by a
-    color swap in the chosen copy; mutates spl in place and drops pr from
-    its pairs if it is there.  I, J untouched."""
+    color swap in the chosen copy; drops pr from the pairs if it is there."""
     i, j = pr
-    spl.pairs.discard(pr)
+    cs.pairs.discard(pr)
     if exchange_copy == 2:
         cs.sigma_prime[i - 1], cs.sigma_prime[j - 1] = A, B
-        spl.singles[i] = A
-        spl.singles[j] = B
     else:
         cs.sigma[i - 1], cs.sigma[j - 1] = B, A
-        spl.singles[i] = B
-        spl.singles[j] = A
-
-
-def dissolve_collisions(spl: Splitting, cs: CoupledState,
-                        exchange_copy: int = 2) -> Splitting:
-    """Dissolve every pair whose members sit on the same site into two
-    singletons via a same-site color swap.  I, J unchanged."""
-    out = spl.copy()
-    for pr in list(out.pairs):
-        if cs.x(pr[0]) == cs.x(pr[1]):
-            _dissolve_pair(out, cs, pr, exchange_copy)
-    return out
 
 
 # ---------------------------------------------------------------------------
-# C-maps.  Each applies the flip to its copy and updates the splitting.  A
-# 'left' flip is the mirror image of a 'right' one (x -> -x, a <-> b, each
-# pair reversed, I <-> J), so one body serves both marks and reads the
-# mirror as values.
+# C-maps.  Each applies the flip to its copy and updates the pairs.  A 'left'
+# flip is the mirror image of a 'right' one (x -> -x, a <-> b, each pair
+# reversed, I <-> J), so one body serves both marks and reads the mirror as
+# values: a flip writes the color new = 1 - mark.
 
 
 def _select(positions: np.ndarray, colors: np.ndarray, mark: int, copy: int
@@ -242,47 +238,19 @@ def _select(positions: np.ndarray, colors: np.ndarray, mark: int, copy: int
     return lab
 
 
-def _mirror(spl: Splitting, mark: int) -> tuple[int, set[int], set[int]]:
-    """The color a `mark` flip writes, the discrepancy set a copy-1 flip
-    under it opens (I for 'right', J for 'left') and the opposite set."""
-    if mark == RIGHT:
-        return B, spl.disc_I, spl.disc_J
-    return A, spl.disc_J, spl.disc_I
-
-
-def _pair_holding(spl: Splitting, lab: int, slot: int) -> tuple[int, int] | None:
-    """The pair with `lab` at position `slot` (0: the (a,b) label)."""
-    for pr in spl.pairs:
-        if pr[slot] == lab:
-            return pr
-    return None
-
-
-def apply_C1(spl: Splitting, cs: CoupledState, mark: int) -> Splitting:
-    """Flip on copy 1 (may create a discrepancy)."""
+def apply_C1(cs: CoupledState, mark: int) -> None:
+    """Flip on copy 1 (may create a discrepancy); a married label leaves its
+    pair."""
     lab = _select(cs.positions, cs.sigma, mark, 1)
-    out = spl.copy()
-    new, opens, closes = _mirror(out, mark)
+    new = 1 - mark
     cs.sigma[lab - 1] = new
     # a copy-1 color a sits in a pair's first slot, b in its second
-    pr = _pair_holding(out, lab, 1 - new)
-    if pr is not None:                           # case (a): lab leaves its pair
-        out.pairs.discard(pr)
-        out.singles[lab] = new
-        opens.add(pr[new])
-    elif lab in out.singles:                     # case (b): singleton opens one
-        del out.singles[lab]
-        opens.add(lab)
-    elif lab in closes:                          # case (c): discrepancy resolves
-        closes.discard(lab)
-        out.singles[lab] = new
-    else:
-        raise SplittingFault(f"no C1-{MARKS[mark]} case matches label {lab}")
-    return out
+    pr = _pair_holding(cs, lab, 1 - new)
+    if pr is not None:
+        cs.pairs.discard(pr)
 
 
-def apply_C2(spl: Splitting, cs: CoupledState, mark: int,
-             exchange_copy: int = 1) -> Splitting:
+def apply_C2(cs: CoupledState, mark: int, exchange_copy: int = 1) -> None:
     """Flip on copy 2 (recovers discrepancies when I resp. J is nonempty).
 
     When a recovery marriage would put both partners on one site, the pair is
@@ -291,38 +259,29 @@ def apply_C2(spl: Splitting, cs: CoupledState, mark: int,
     the tabled case.
     """
     lab = _select(cs.positions, cs.sigma_prime, mark, 2)
-    out = spl.copy()
-    new, recovers, opens = _mirror(out, mark)
+    new = 1 - mark
     cs.sigma_prime[lab - 1] = new
     # a copy-2 color a sits in a pair's second slot, b in its first
-    pr = _pair_holding(out, lab, new)
+    pr = _pair_holding(cs, lab, new)
     if pr is not None:                           # case (a): lab leaves its pair
-        out.pairs.discard(pr)
-        out.singles[lab] = new
+        cs.pairs.discard(pr)
         partner = pr[1 - new]
-    elif lab in out.singles:                     # case (b): singleton
-        del out.singles[lab]
+    elif cs.sigma[lab - 1] == new:               # case (c): discrepancy resolves
+        return
+    else:                                        # case (b): singleton
         partner = lab
-    elif lab in recovers:                        # case (c): discrepancy resolves
-        recovers.discard(lab)
-        out.singles[lab] = new
-        return out
-    else:
-        raise SplittingFault(f"no C2-{MARKS[mark]} case matches label {lab}")
-    if not recovers:
-        opens.add(partner)
-        return out
-    # marry the partner to the largest recovered label, which takes lab's slot
-    k = max(recovers)
-    recovers.discard(k)
+    # marry the partner to the largest recovered label, which takes lab's
+    # slot; with none to recover, the partner is left a discrepancy
+    k = next(_unmarried(cs, new), None)
+    if k is None:
+        return
     pr = (partner, k) if new == B else (k, partner)
     # in case (a) the rank selection keeps the pair ordered; in case (b) the
     # partners may share a site
     if cs.x(pr[0]) > cs.x(pr[1]):
-        out.pairs.add(pr)
+        cs.pairs.add(pr)
     else:
-        _dissolve_pair(out, cs, pr, exchange_copy)
-    return out
+        _dissolve_pair(cs, pr, exchange_copy)
 
 
 # ---------------------------------------------------------------------------
@@ -363,61 +322,53 @@ def marks_stay_in_X(h_a0: int, M: int, marks) -> bool:
     return True
 
 
-def _balance_history(cs: CoupledState, spl: Splitting, marks, mover
-                     ) -> BalanceReport:
+def _balance_history(cs: CoupledState, marks) -> BalanceReport:
     """Run m copy-1 flips then m copy-2 flips from the discrepancy-free
-    splitting spl of cs, checking the splitting and the balance identity
-    after every step and the final emptiness of both discrepancy sets.
-
-    `mover`, if not None, is called as mover(cs, spl, slot) between flips
-    (slot = 0..m) and must return the new splitting; it models the walk
-    transport with collision dissolutions.
-    """
+    splitting of cs, checking the splitting and the balance identity after
+    every step and the final emptiness of both discrepancy sets."""
     m = len(marks)
     steps: list[BalanceStep] = []
+    n_I = n_J = 0
 
-    def record(phase: str, q: int, mark: int, lhs: int, rhs: int) -> bool:
+    def record(phase: str, q: int, mark: int, n_r: int, n_l: int) -> bool:
+        # each pair holds one (a,b) and one (b,a) label; the rest of the
+        # (b,a) labels are I and the rest of the (a,b) labels are J
+        nonlocal n_I, n_J
+        diff = (cs.sigma - cs.sigma_prime).tolist()
+        n_ba, n_ab, n_P = diff.count(1), diff.count(-1), len(cs.pairs)
+        n_I, n_J = n_ba - n_P, n_ab - n_P
+        lhs, rhs = n_r - n_I, n_l - n_J
         ok = lhs == rhs and lhs >= 0
-        steps.append(BalanceStep(phase, q, mark, len(spl.pairs), len(spl.singles),
-                                 len(spl.disc_I), len(spl.disc_J), lhs, rhs, ok))
+        steps.append(BalanceStep(phase, q, mark, n_P, cs.M - n_ab - n_ba,
+                                 n_I, n_J, lhs, rhs, ok))
         return ok
 
     try:
         for q in range(1, m + 1):
-            if mover is not None:
-                spl = mover(cs, spl, q - 1)
-            spl = apply_C1(spl, cs, marks[q - 1])
-            check_splitting(spl, cs)
+            apply_C1(cs, marks[q - 1])
+            check_splitting(cs)
             n_r = sum(1 for mk in marks[:q] if mk == RIGHT)
-            n_l = q - n_r
-            if not record("C1", q, marks[q - 1], n_r - len(spl.disc_I),
-                          n_l - len(spl.disc_J)):
-                return BalanceReport(False, steps, len(spl.disc_I), len(spl.disc_J),
-                                     False, f"identity fails after C1 step {q}")
-        if mover is not None:
-            spl = mover(cs, spl, m)
+            if not record("C1", q, marks[q - 1], n_r, q - n_r):
+                return BalanceReport(False, steps, n_I, n_J, False,
+                                     f"identity fails after C1 step {q}")
         for q in range(1, m + 1):
-            spl = apply_C2(spl, cs, marks[q - 1])
-            check_splitting(spl, cs)
+            apply_C2(cs, marks[q - 1])
+            check_splitting(cs)
             n_r = sum(1 for mk in marks[q:] if mk == RIGHT)
-            n_l = sum(1 for mk in marks[q:] if mk == LEFT)
-            if not record("C2", m + q, marks[q - 1], n_r - len(spl.disc_I),
-                          n_l - len(spl.disc_J)):
-                return BalanceReport(False, steps, len(spl.disc_I), len(spl.disc_J),
-                                     False, f"identity fails after C2 step {q}")
+            if not record("C2", m + q, marks[q - 1], n_r, m - q - n_r):
+                return BalanceReport(False, steps, n_I, n_J, False,
+                                     f"identity fails after C2 step {q}")
     except (CouplingError, SplittingFault) as exc:
-        return BalanceReport(False, steps, len(spl.disc_I), len(spl.disc_J),
-                             False, str(exc))
+        return BalanceReport(False, steps, n_I, n_J, False, str(exc))
 
     final_order = order_witness(cs.positions, cs.sigma_prime, cs.sigma)[0] == 0
-    ok = not spl.disc_I and not spl.disc_J and final_order
+    ok = not n_I and not n_J and final_order
     failure = None
-    if spl.disc_I or spl.disc_J:
+    if n_I or n_J:
         failure = "discrepancies remain at the end"
     elif not final_order:
         failure = "final states not ordered"
-    return BalanceReport(ok, steps, len(spl.disc_I), len(spl.disc_J),
-                         final_order, failure)
+    return BalanceReport(ok, steps, n_I, n_J, final_order, failure)
 
 
 # ---------------------------------------------------------------------------
@@ -464,15 +415,12 @@ def exhaustive_balance_check(max_particles: int = 4, n_sites: int = 4,
                         continue
                     n_instances += 1
                     cs0 = CoupledState(positions, sigma_arr, sigma_p_arr)
-                    spl0 = build_splitting(cs0)
+                    build_splitting(cs0)
                     for marks in _mark_sequences(max_marks):
                         if not marks_stay_in_X(h_a, M, marks):
                             n_skipped += 1
                             continue
-                        cs = CoupledState(cs0.positions, cs0.sigma,
-                                          cs0.sigma_prime)
-                        rep = _balance_history(cs, spl0.copy(), list(marks),
-                                               None)
+                        rep = _balance_history(cs0.copy(), list(marks))
                         n_runs += 1
                         if not rep.ok:
                             msg = (f"x={xs} sigma={_names(sigma, COLORS)} "
@@ -543,7 +491,7 @@ def _first_meeting(real: PositionRealization, pr: tuple[int, int],
 
 def couple_block(cs: CoupledState, real: PositionRealization, block: EventLog,
                  t_lo: float, t_hi: float, protocol: str,
-                 exchange_copy: int) -> Splitting:
+                 exchange_copy: int) -> None:
     """Run one block of the two-copy protocol on shared walks.
 
     'early' gives all of the block's flips to copy 1 at the block start
@@ -557,8 +505,8 @@ def couple_block(cs: CoupledState, real: PositionRealization, block: EventLog,
     jump: the cost is pairs x rings per block.
 
     cs must hold both copies at t_lo with copy 2 dominated by copy 1, and
-    its positions must be the realization at t_lo; it is advanced to t_hi
-    in place.
+    its positions must be the realization at t_lo; it is married by
+    build_splitting and advanced to t_hi in place.
     """
     if protocol not in ("early", "late"):
         raise CouplingError(f"protocol must be 'early' or 'late', got {protocol!r}")
@@ -568,35 +516,34 @@ def couple_block(cs: CoupledState, real: PositionRealization, block: EventLog,
     rows = real.positions_at_many(times)
     if not np.array_equal(cs.positions, rows[0]):
         raise SplittingFault("positions drifted from the stored realization")
-    spl = build_splitting(cs, exchange_copy=exchange_copy)
+    build_splitting(cs, exchange_copy=exchange_copy)
     marks = block.marks.tolist()
     if protocol == "early":
         for mark in marks:
-            spl = apply_C1(spl, cs, mark)
+            apply_C1(cs, mark)
 
     for r in range(len(marks) + 1):
         met = []
-        for pr in spl.pairs:
+        for pr in cs.pairs:
             hit = _first_meeting(real, pr, times[r], times[r + 1], rows[r])
             if hit is not None:
                 met.append((hit, pr))
         for _, pr in sorted(met):
-            _dissolve_pair(spl, cs, pr, exchange_copy)
+            _dissolve_pair(cs, pr, exchange_copy)
         cs.positions[:] = rows[r + 1]
-        for i, j in spl.pairs:
+        for i, j in cs.pairs:
             if not cs.positions[i - 1] > cs.positions[j - 1]:
                 raise SplittingFault(f"pair ({i},{j}) crossed without meeting")
         if r == len(marks):
             break
         if protocol == "early":
-            spl = apply_C2(spl, cs, marks[r], exchange_copy=exchange_copy)
+            apply_C2(cs, marks[r], exchange_copy=exchange_copy)
         else:
-            spl = apply_C1(spl, cs, marks[r])
+            apply_C1(cs, marks[r])
 
     if protocol == "late":
         for mark in marks:
-            spl = apply_C2(spl, cs, mark, exchange_copy=exchange_copy)
-    return spl
+            apply_C2(cs, mark, exchange_copy=exchange_copy)
 
 
 def verify_sandwich(cfg: SimConfig, profile: ProfilePair, delta: float,
@@ -653,18 +600,18 @@ def verify_sandwich(cfg: SimConfig, profile: ProfilePair, delta: float,
             try:
                 cs_p = CoupledState(true_k.positions, plus_colors,
                                     true_k.colors)
-                spl_p = couple_block(cs_p, real, block, t_k, t_next,
-                                     "early", exchange_copy=1)
+                couple_block(cs_p, real, block, t_k, t_next, "early",
+                             exchange_copy=1)
                 cs_m = CoupledState(true_k.positions, true_k.colors,
                                     minus_colors)
-                spl_m = couple_block(cs_m, real, block, t_k, t_next,
-                                     "late", exchange_copy=2)
+                couple_block(cs_m, real, block, t_k, t_next, "late",
+                             exchange_copy=2)
             except (CouplingError, SplittingFault) as exc:
                 n_violations += 1
                 violations.append(f"seed {rep}, block {k}: {exc}")
                 break
             true_next = traj.state_at(t_next).colors
-            if (spl_p.disc_I or spl_p.disc_J or spl_m.disc_I or spl_m.disc_J
+            if (cs_p.disc_I or cs_p.disc_J or cs_m.disc_I or cs_m.disc_J
                     or not np.array_equal(cs_p.sigma_prime, true_next)
                     or not np.array_equal(cs_m.sigma, true_next)):
                 n_violations += 1

@@ -123,12 +123,13 @@ class FbpSolution:
         return ProfilePair(lo.grid, 0.5 * (lo.u + hi.u), 0.5 * (lo.v + hi.v))
 
 
-def solve_reference(initial: ProfilePair, kappa: float, T: float, delta: float,
-                    both_variants: bool = True) -> FbpSolution:
+def solve_reference(initial: ProfilePair, kappa: float, T: float, delta: float
+                    ) -> FbpSolution:
     """Run the barrier iterations up to T in steps of delta and package the
-    lower-variant boundaries and (optionally) the two-sided bracket.
+    lower-variant boundaries and the two-sided bracket.
 
-    Stops early with `annihilated` set if a transfer would exhaust a species.
+    Stops early with `annihilated` set if a transfer would exhaust a species;
+    the bracket is then not stored.
     """
     from .macro import AnnihilationError, barrier_step
 
@@ -146,15 +147,13 @@ def solve_reference(initial: ProfilePair, kappa: float, T: float, delta: float,
     times = delta * np.arange(len(minus))
     plus = None
     widths = None
-    if both_variants:
-        try:
-            plus = iterate_barriers(initial, delta, kappa, len(minus) - 1, "plus")
-        except AnnihilationError:
-            annihilated = True
-            plus = None
-        if plus is not None:
-            widths = np.array([l1_distance_u(lo, hi)
-                               for lo, hi in zip(minus, plus)])
+    try:
+        plus = iterate_barriers(initial, delta, kappa, len(minus) - 1, "plus")
+    except AnnihilationError:
+        annihilated = True
+    if plus is not None:
+        widths = np.array([l1_distance_u(lo, hi)
+                           for lo, hi in zip(minus, plus)])
     boundaries = extract_boundaries(minus, times)
     return FbpSolution(kappa, delta, times, minus, plus, boundaries, widths,
                        annihilated)
@@ -243,7 +242,7 @@ def simulate_absorbed(starts_x: np.ndarray, starts_t: np.ndarray, t_end: float,
     """
     x = np.asarray(starts_x, dtype=float).copy()
     starts_t = np.asarray(starts_t, dtype=float)
-    n_steps = int(round(t_end / dt))
+    n_steps = step_count(t_end, dt)
     grid_t = dt * np.arange(n_steps + 1)
     bvals = np.asarray(upper(grid_t), dtype=float)
     start_idx = np.clip(np.ceil(starts_t / dt - 1e-12).astype(int), 0, n_steps)

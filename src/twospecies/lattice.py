@@ -438,18 +438,6 @@ def run_true(ps: ParticleState, log: EventLog, t_end: float,
     return TrueTrajectory(ps, log, realization, t_end)
 
 
-# ---------------------------------------------------------------------------
-# color counts
-
-
-def color_counts_from_log(h_a0: int, M: int, log: EventLog, t: float) -> tuple[int, int]:
-    """(N_a, N_b) at time t from the signed tally of rings up to t."""
-    sel = log.times <= t
-    delta = int(np.sum(log.marks[sel] == LEFT)) - int(np.sum(log.marks[sel] == RIGHT))
-    n_a = h_a0 + delta
-    return n_a, M - n_a
-
-
 def in_X(h_a0: int, M: int, log: EventLog, t_end: float) -> bool:
     """True iff both species stay present up to t_end (tally never hits 0 or M)."""
     sel = log.times <= t_end

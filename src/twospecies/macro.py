@@ -147,12 +147,6 @@ def tail_integral(f: np.ndarray, grid: GridSpec, r) -> float | np.ndarray:
     return out if np.ndim(r) else float(out[0])
 
 
-def head_integral(f: np.ndarray, grid: GridSpec, r) -> float | np.ndarray:
-    """Integral of f over (-inf, r] (grid-supported part)."""
-    total = float(node_weights(grid) @ np.asarray(f, dtype=float))
-    return total - tail_integral(f, grid, r)
-
-
 def tail_curve(f: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Nodewise tail integrals F(r_j) = integral_{r_j}^{r_max} f."""
     h = grid.h

@@ -252,6 +252,11 @@ class TestUsageErrors:
                  "mc": {"t": -0.1, "n_paths": 10}}),
         ("fbp", {"kappa": 0.5, "delta": 0.05, "horizon_T": 0.1,
                  "mc": {"t": 0.2, "n_paths": 10}}),
+        # an MC step that does not divide the MC time
+        ("fbp", {"kappa": 0.5, "delta": 0.001, "horizon_T": 0.1,
+                 "mc": {"t": 0.1, "n_paths": 20000, "dt": 0.03}}),
+        ("fbp", {"kappa": 0.5, "delta": 0.001, "horizon_T": 0.1,
+                 "mc": {"t": 0.1, "n_paths": 20000, "dt": 1}}),
     ])
     def test_bad_value_is_a_usage_error(self, tmp_path, capsys, command, cfg):
         code, _ = run(tmp_path, command, cfg)
@@ -266,6 +271,17 @@ class TestUsageErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'mc.t'" in err
+
+    def test_mc_step_that_does_not_divide_the_time_is_named(self, tmp_path,
+                                                           capsys):
+        cfg = {"kappa": 0.5, "delta": 0.05, "horizon_T": 0.1,
+               "mc": {"t": 0.1, "n_paths": 10, "dt": 0.03}}
+        code, out = run(tmp_path, "fbp", cfg)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'mc.dt'" in err
+        # rejected before the reference solve writes anything
+        assert not (out / "summary.json").exists()
 
     @pytest.mark.parametrize("command", ["barriers", "fbp"])
     def test_negative_kappa_is_named(self, tmp_path, capsys, command):

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from twospecies import coupling, lattice, macro
-from twospecies.coupling import (CoupledState, CouplingError, Splitting,
-                                 SplittingFault)
+from twospecies.coupling import CoupledState, CouplingError, SplittingFault
 from twospecies.lattice import A, B, LEFT, RIGHT
 
 
@@ -20,11 +19,11 @@ def reference_couple_block(cs, real, block, t_lo, t_hi, protocol,
     """couple_block as a replay of every walk jump in (time, label, step)
     order, dissolving a pair at the jump that puts its members on one site:
     the oracle for the interval-wise couple_block."""
-    spl = coupling.build_splitting(cs, exchange_copy=exchange_copy)
+    coupling.build_splitting(cs, exchange_copy=exchange_copy)
     rings = list(zip(block.times, block.marks.tolist()))
     if protocol == "early":
         for _, mark in rings:
-            spl = coupling.apply_C1(spl, cs, mark)
+            coupling.apply_C1(cs, mark)
     events = []
     for i in range(real.M):
         jt = real.jump_times[i]
@@ -37,7 +36,7 @@ def reference_couple_block(cs, real, block, t_lo, t_hi, protocol,
 
     def rebuild():
         pair_of.clear()
-        for pr in spl.pairs:
+        for pr in cs.pairs:
             pair_of[pr[0]] = pr
             pair_of[pr[1]] = pr
 
@@ -49,10 +48,9 @@ def reference_couple_block(cs, real, block, t_lo, t_hi, protocol,
             mark = rings[ri][1]
             ri += 1
             if protocol == "early":
-                spl = coupling.apply_C2(spl, cs, mark,
-                                        exchange_copy=exchange_copy)
+                coupling.apply_C2(cs, mark, exchange_copy=exchange_copy)
             else:
-                spl = coupling.apply_C1(spl, cs, mark)
+                coupling.apply_C1(cs, mark)
             rebuild()
         else:
             _, lab, step = events[ei]
@@ -61,25 +59,24 @@ def reference_couple_block(cs, real, block, t_lo, t_hi, protocol,
             pr = pair_of.get(lab)
             if pr is not None and (cs.positions[pr[0] - 1]
                                    == cs.positions[pr[1] - 1]):
-                coupling._dissolve_pair(spl, cs, pr, exchange_copy)
+                coupling._dissolve_pair(cs, pr, exchange_copy)
                 del pair_of[pr[0]], pair_of[pr[1]]
     if protocol == "late":
         for _, mark in rings:
-            spl = coupling.apply_C2(spl, cs, mark, exchange_copy=exchange_copy)
+            coupling.apply_C2(cs, mark, exchange_copy=exchange_copy)
     if not np.array_equal(cs.positions, real.positions_at(t_hi)):
         raise SplittingFault("positions drifted from the stored realization")
-    return spl
 
 
 def block_outcome(run, cs, *args):
     """Everything a couple_block call leaves, or the error it raises; cs is
     not touched."""
-    cs = CoupledState(cs.positions, cs.sigma, cs.sigma_prime)
+    cs = cs.copy()
     try:
-        spl = run(cs, *args)
+        run(cs, *args)
     except (CouplingError, SplittingFault) as exc:
         return type(exc), str(exc)
-    return (spl.pairs, list(spl.singles.items()), spl.disc_I, spl.disc_J,
+    return (cs.pairs, list(cs.singles.items()), cs.disc_I, cs.disc_J,
             cs.positions.tolist(), cs.sigma.tolist(), cs.sigma_prime.tolist())
 
 
@@ -100,6 +97,14 @@ def random_ordered_instance(rng, max_particles=5, n_sites=6):
         sigma_p = rng.permutation(sigma)
         if coupling.order_witness(positions, sigma_p, sigma)[0] == 0:
             return cs_of(positions, sigma, sigma_p)
+
+
+def dissolve_collisions(cs, exchange_copy):
+    """Dissolve every pair whose members share a site, as a walk step that
+    brings them together does."""
+    for pr in list(cs.pairs):
+        if cs.x(pr[0]) == cs.x(pr[1]):
+            coupling._dissolve_pair(cs, pr, exchange_copy)
 
 
 def witness(positions, lo, hi):
@@ -148,21 +153,21 @@ class TestOrder:
 class TestBuildSplitting:
     def test_single_pair(self):
         cs = cs_of([0, 1], [B, A], [A, B])
-        spl = coupling.build_splitting(cs)
-        assert spl.pairs == {(2, 1)}
-        assert not spl.singles and not spl.disc_I and not spl.disc_J
+        coupling.build_splitting(cs)
+        assert cs.pairs == {(2, 1)}
+        assert not cs.singles and not cs.disc_I and not cs.disc_J
 
     def test_same_site_discrepancies_cancel_by_exchange(self):
         cs = cs_of([0, 0], [A, B], [B, A])
-        spl = coupling.build_splitting(cs, exchange_copy=2)
-        assert not spl.pairs
-        assert spl.singles == {1: A, 2: B}
+        coupling.build_splitting(cs, exchange_copy=2)
+        assert not cs.pairs
+        assert cs.singles == {1: A, 2: B}
         assert np.array_equal(cs.sigma_prime, cs.sigma)
 
     def test_exchange_copy_one_touches_the_first_copy(self):
         cs = cs_of([0, 0], [A, B], [B, A])
-        spl = coupling.build_splitting(cs, exchange_copy=1)
-        assert spl.singles == {1: B, 2: A}
+        coupling.build_splitting(cs, exchange_copy=1)
+        assert cs.singles == {1: B, 2: A}
         assert np.array_equal(cs.sigma, cs.sigma_prime)
 
     def test_mismatched_counts_rejected(self):
@@ -178,86 +183,125 @@ class TestBuildSplitting:
     def test_random_instances_build_clean_splittings(self, rng):
         for _ in range(200):
             cs = random_ordered_instance(rng)
-            spl = coupling.build_splitting(cs)
-            coupling.check_splitting(spl, cs)
-            assert not spl.disc_I and not spl.disc_J
+            coupling.build_splitting(cs)
+            coupling.check_splitting(cs)
+            assert not cs.disc_I and not cs.disc_J
+
+
+class TestCheckSplitting:
+    def test_label_married_twice(self):
+        cs = cs_of([2, 1, 0], [A, B, B], [B, A, A])
+        cs.pairs = {(1, 2), (1, 3)}
+        with pytest.raises(SplittingFault, match="married twice"):
+            coupling.check_splitting(cs)
+
+    def test_pair_with_wrong_specs(self):
+        cs = cs_of([1, 0], [A, B], [A, B])
+        cs.pairs = {(1, 2)}
+        with pytest.raises(SplittingFault, match="specs"):
+            coupling.check_splitting(cs)
+
+    def test_unordered_pair(self):
+        cs = cs_of([0, 1], [A, B], [B, A])
+        cs.pairs = {(1, 2)}
+        with pytest.raises(SplittingFault, match="violates"):
+            coupling.check_splitting(cs)
+
+    def test_views_partition_the_labels(self, rng):
+        # S, I, J and the married labels cover 1..M once each, S holds the
+        # labels colored alike, I the (b,a) and J the (a,b) ones
+        flips = 0
+        for _ in range(200):
+            cs = random_ordered_instance(rng, max_particles=6)
+            coupling.build_splitting(cs)
+            for _ in range(6):
+                apply_C = (coupling.apply_C1 if rng.random() < 0.5
+                           else coupling.apply_C2)
+                try:
+                    apply_C(cs, RIGHT if rng.random() < 0.5 else LEFT)
+                except CouplingError:        # the species is absent
+                    continue
+                flips += 1
+                coupling.check_splitting(cs)
+                married = [lab for pr in cs.pairs for lab in pr]
+                parts = [*married, *cs.singles, *cs.disc_I, *cs.disc_J]
+                assert sorted(parts) == list(range(1, cs.M + 1))
+                assert all(cs.spec(lab) == (c, c)
+                           for lab, c in cs.singles.items())
+                assert all(cs.spec(lab) == (B, A) for lab in cs.disc_I)
+                assert all(cs.spec(lab) == (A, B) for lab in cs.disc_J)
+        assert flips >= 500
 
 
 class TestDissolve:
     def test_colliding_pair_becomes_singletons(self):
         cs = cs_of([1, 1], [A, B], [B, A])
-        spl = Splitting(pairs={(1, 2)})
-        out = coupling.dissolve_collisions(spl, cs, exchange_copy=2)
-        assert not out.pairs
-        assert out.singles == {1: A, 2: B}
+        cs.pairs = {(1, 2)}
+        coupling._dissolve_pair(cs, (1, 2), exchange_copy=2)
+        assert not cs.pairs
+        assert cs.singles == {1: A, 2: B}
         assert np.array_equal(cs.sigma_prime, cs.sigma)
-        coupling.check_splitting(out, cs)
-
-    def test_separated_pair_untouched(self):
-        cs = cs_of([2, 1], [A, B], [B, A])
-        spl = Splitting(pairs={(1, 2)})
-        out = coupling.dissolve_collisions(spl, cs)
-        assert out.pairs == {(1, 2)}
+        coupling.check_splitting(cs)
 
 
 class TestCMaps:
     def test_c1_right_breaks_a_pair_into_a_discrepancy(self):
         cs = cs_of([1, 0], [A, B], [B, A])
-        spl = coupling.build_splitting(cs)
-        assert spl.pairs == {(1, 2)}
-        spl = coupling.apply_C1(spl, cs, RIGHT)
+        coupling.build_splitting(cs)
+        assert cs.pairs == {(1, 2)}
+        coupling.apply_C1(cs, RIGHT)
         assert list(cs.sigma) == [B, B]
-        assert spl.singles == {1: B}
-        assert spl.disc_I == {2}
+        assert cs.singles == {1: B}
+        assert cs.disc_I == {2}
 
     def test_c2_right_recovers_the_discrepancy(self):
         cs = cs_of([1, 0], [A, B], [B, A])
-        spl = coupling.build_splitting(cs)
-        spl = coupling.apply_C1(spl, cs, RIGHT)
-        spl = coupling.apply_C2(spl, cs, RIGHT)
+        coupling.build_splitting(cs)
+        coupling.apply_C1(cs, RIGHT)
+        coupling.apply_C2(cs, RIGHT)
         assert list(cs.sigma_prime) == [B, B]
-        assert not spl.disc_I and not spl.disc_J
-        assert spl.singles == {1: B, 2: B}
+        assert not cs.disc_I and not cs.disc_J
+        assert cs.singles == {1: B, 2: B}
 
     def test_c1_left_mirror(self):
         cs = cs_of([1, 0], [A, B], [B, A])
-        spl = coupling.build_splitting(cs)
-        spl = coupling.apply_C1(spl, cs, LEFT)
+        coupling.build_splitting(cs)
+        coupling.apply_C1(cs, LEFT)
         assert list(cs.sigma) == [A, A]
-        assert spl.singles == {2: A}
-        assert spl.disc_J == {1}
-        spl = coupling.apply_C2(spl, cs, LEFT)
+        assert cs.singles == {2: A}
+        assert cs.disc_J == {1}
+        coupling.apply_C2(cs, LEFT)
         assert list(cs.sigma_prime) == [A, A]
-        assert not spl.disc_I and not spl.disc_J
+        assert not cs.disc_I and not cs.disc_J
 
     def test_c1_on_singleton_creates_discrepancy(self):
         cs = cs_of([0, 1], [A, B], [A, B])
-        spl = coupling.build_splitting(cs)
-        spl = coupling.apply_C1(spl, cs, RIGHT)
-        assert spl.disc_I == {1}
-        coupling.check_splitting(spl, cs)
+        coupling.build_splitting(cs)
+        coupling.apply_C1(cs, RIGHT)
+        assert cs.disc_I == {1}
+        coupling.check_splitting(cs)
 
     def test_c2_same_site_recovery_falls_back_to_exchange(self):
         # the recovery partner for the copy-2 flip sits on the same site as
         # the flipped singleton, so the marriage is realized as two
         # singletons through a color exchange
         cs = cs_of([0, 0], [B, A], [A, A])
-        spl = Splitting(singles={2: A}, disc_I={1})
-        spl = coupling.apply_C2(spl, cs, RIGHT, exchange_copy=1)
-        assert not spl.disc_I and not spl.disc_J
-        assert spl.singles == {1: A, 2: B}
+        assert cs.singles == {2: A} and cs.disc_I == {1}
+        coupling.apply_C2(cs, RIGHT, exchange_copy=1)
+        assert not cs.disc_I and not cs.disc_J
+        assert cs.singles == {1: A, 2: B}
         assert list(cs.sigma) == [A, B]
         assert np.array_equal(cs.sigma, cs.sigma_prime)
-        coupling.check_splitting(spl, cs)
+        coupling.check_splitting(cs)
 
     def test_unknown_mark_rejected(self):
         cs = cs_of([0], [A], [A])
-        spl = coupling.build_splitting(cs)
+        coupling.build_splitting(cs)
         for mark in ("up", "right", 2):
             with pytest.raises(CouplingError):
-                coupling.apply_C1(spl, cs, mark)
+                coupling.apply_C1(cs, mark)
             with pytest.raises(CouplingError):
-                coupling.apply_C2(spl, cs, mark)
+                coupling.apply_C2(cs, mark)
 
     @pytest.mark.parametrize("sigma, sigma_prime", [
         (["a", "b"], [A, B]), ([A, B], ["b", "a"]), ([A, 2], [A, B]),
@@ -269,24 +313,20 @@ class TestCMaps:
 
     @pytest.mark.parametrize("exchange_copy", [1, 2])
     def test_c_maps_commute_with_the_mirror(self, rng, exchange_copy):
-        # x -> -x, a <-> b in both copies, each pair reversed, I <-> J; the
-        # mirrored splitting is mapped label by label, since build_splitting
-        # marries from the right and is not mirror-symmetric
-        def mirror_cs(cs):
-            return CoupledState(-cs.positions, np.where(cs.sigma == A, B, A),
-                                np.where(cs.sigma_prime == A, B, A))
-
-        def mirror_spl(spl):
-            return Splitting({(j, i) for i, j in spl.pairs},
-                             {lab: B if tag == A else A
-                              for lab, tag in spl.singles.items()},
-                             set(spl.disc_J), set(spl.disc_I))
+        # x -> -x, a <-> b in both copies, each pair reversed (so I <-> J);
+        # the mirrored pairs are mapped label by label, since
+        # build_splitting marries from the right and is not mirror-symmetric
+        def mirror(cs):
+            out = CoupledState(-cs.positions, np.where(cs.sigma == A, B, A),
+                               np.where(cs.sigma_prime == A, B, A))
+            out.pairs = {(j, i) for i, j in cs.pairs}
+            return out
 
         flips = 0
         for _ in range(300):
             cs = random_ordered_instance(rng, max_particles=6)
-            spl = coupling.build_splitting(cs, exchange_copy=exchange_copy)
-            cs_m, spl_m = mirror_cs(cs), mirror_spl(spl)
+            coupling.build_splitting(cs, exchange_copy=exchange_copy)
+            cs_m = mirror(cs)
             # flips on either copy in any order, between walk steps that
             # dissolve colliding pairs, keep the splitting consistent
             for _ in range(6):
@@ -294,8 +334,8 @@ class TestCMaps:
                 step = int(rng.choice((-1, 1)))
                 cs.positions[lab - 1] += step
                 cs_m.positions[lab - 1] -= step
-                spl = coupling.dissolve_collisions(spl, cs, exchange_copy)
-                spl_m = coupling.dissolve_collisions(spl_m, cs_m, exchange_copy)
+                dissolve_collisions(cs, exchange_copy)
+                dissolve_collisions(cs_m, exchange_copy)
                 mark = RIGHT if rng.random() < 0.5 else LEFT
                 mirrored_mark = LEFT if mark == RIGHT else RIGHT
                 if rng.random() < 0.5:
@@ -304,18 +344,19 @@ class TestCMaps:
                     apply_C, kw = coupling.apply_C2, {
                         "exchange_copy": exchange_copy}
                 try:
-                    spl = apply_C(spl, cs, mark, **kw)
+                    apply_C(cs, mark, **kw)
                 except CouplingError:        # the species is absent
                     with pytest.raises(CouplingError):
-                        apply_C(spl_m, cs_m, mirrored_mark, **kw)
+                        apply_C(cs_m, mirrored_mark, **kw)
                     continue
-                spl_m = apply_C(spl_m, cs_m, mirrored_mark, **kw)
-                coupling.check_splitting(spl, cs)
-                mirrored = mirror_cs(cs)
+                apply_C(cs_m, mirrored_mark, **kw)
+                coupling.check_splitting(cs)
+                mirrored = mirror(cs)
                 assert np.array_equal(mirrored.positions, cs_m.positions)
                 assert np.array_equal(mirrored.sigma, cs_m.sigma)
                 assert np.array_equal(mirrored.sigma_prime, cs_m.sigma_prime)
-                assert mirror_spl(spl) == spl_m
+                assert mirrored.pairs == cs_m.pairs
+                assert (cs.disc_I, cs.disc_J) == (cs_m.disc_J, cs_m.disc_I)
                 flips += 1
         assert flips >= 1000
 
@@ -323,8 +364,8 @@ class TestCMaps:
 class TestBalance:
     def test_empty_mark_sequence_is_trivially_clean(self):
         cs = cs_of([0, 1], [B, A], [A, B])
-        report = coupling._balance_history(
-            cs, coupling.build_splitting(cs), [], None)
+        coupling.build_splitting(cs)
+        report = coupling._balance_history(cs, [])
         assert report.ok and not report.steps
 
     def test_identities_recorded_at_every_step(self, rng):
@@ -335,8 +376,8 @@ class TestBalance:
                 break
         marks = [RIGHT, LEFT] if h_a >= 2 else [LEFT, RIGHT]
         assert coupling.marks_stay_in_X(h_a, cs.M, marks)
-        report = coupling._balance_history(
-            cs, coupling.build_splitting(cs), marks, None)
+        coupling.build_splitting(cs)
+        report = coupling._balance_history(cs, marks)
         assert report.ok, report.failure
         assert len(report.steps) == 2 * len(marks)
         for step in report.steps:
@@ -347,6 +388,16 @@ class TestBalance:
         assert coupling.marks_stay_in_X(1, 3, [LEFT, RIGHT]) is True
 
     def test_randomized_balance_with_walk_transport(self, rng):
+        # m copy-1 flips, then m copy-2 flips, with random walk steps that
+        # dissolve colliding pairs before each flip of copy 1 and before the
+        # first of copy 2: the balance identity holds after every flip, and
+        # no discrepancy is left at the end
+        def walk(cs):
+            for _ in range(int(rng.integers(0, 4))):
+                lab = int(rng.integers(1, cs.M + 1))
+                cs.positions[lab - 1] += int(rng.choice((-1, 1)))
+                dissolve_collisions(cs, 2)
+
         ran = 0
         for _ in range(300):
             cs = random_ordered_instance(rng)
@@ -356,17 +407,22 @@ class TestBalance:
             if not coupling.marks_stay_in_X(h_a, cs.M, marks):
                 continue
             ran += 1
-
-            def mover(state, spl, slot):
-                for _ in range(int(rng.integers(0, 4))):
-                    lab = int(rng.integers(1, state.M + 1))
-                    state.positions[lab - 1] += int(rng.choice((-1, 1)))
-                    spl = coupling.dissolve_collisions(spl, state)
-                return spl
-
-            report = coupling._balance_history(
-                cs, coupling.build_splitting(cs), marks, mover)
-            assert report.ok, report.failure
+            coupling.build_splitting(cs)
+            for q, mark in enumerate(marks, 1):
+                walk(cs)
+                coupling.apply_C1(cs, mark)
+                coupling.check_splitting(cs)
+                n_r = marks[:q].count(RIGHT)
+                assert n_r - len(cs.disc_I) == q - n_r - len(cs.disc_J) >= 0
+            walk(cs)
+            for q, mark in enumerate(marks, 1):
+                coupling.apply_C2(cs, mark)
+                coupling.check_splitting(cs)
+                n_r = marks[q:].count(RIGHT)
+                assert n_r - len(cs.disc_I) == m - q - n_r - len(cs.disc_J) >= 0
+            assert not cs.disc_I and not cs.disc_J
+            assert coupling.order_witness(cs.positions, cs.sigma_prime,
+                                          cs.sigma)[0] == 0
         assert ran >= 100
 
     def test_exhaustive_small_instances(self):
@@ -413,7 +469,8 @@ class TestCoupleBlock:
             args = (real, block, t_lo, t_hi, protocol, exchange_copy)
             got = block_outcome(coupling.couple_block, cs, *args)
             assert got == block_outcome(reference_couple_block, cs, *args)
-            paired += bool(coupling.build_splitting(cs).pairs)
+            coupling.build_splitting(cs)
+            paired += bool(cs.pairs)
         assert paired >= 50
 
     def test_matches_the_reference_along_the_sandwich(self, monkeypatch):
@@ -444,16 +501,16 @@ class TestCoupleBlock:
         dissolved = []
         dissolve = coupling._dissolve_pair
 
-        def counting(spl, cs, pr, exchange_copy):
+        def counting(cs, pr, exchange_copy):
             dissolved.append(pr)
-            dissolve(spl, cs, pr, exchange_copy)
+            dissolve(cs, pr, exchange_copy)
 
         monkeypatch.setattr(coupling, "_dissolve_pair", counting)
         cs = cs_of([1, 0], [A, B], [B, A])
-        spl = coupling.couple_block(cs, real, lattice.EventLog([], []), 0.0,
-                                    4.0, "early", exchange_copy=2)
+        coupling.couple_block(cs, real, lattice.EventLog([], []), 0.0, 4.0,
+                              "early", exchange_copy=2)
         assert dissolved == [(1, 2)]
-        assert not spl.pairs and spl.singles == {1: A, 2: B}
+        assert not cs.pairs and cs.singles == {1: A, 2: B}
         assert list(cs.sigma_prime) == [A, B]
         assert list(cs.positions) == [1, 2]
 
@@ -485,29 +542,29 @@ class TestCoupleBlock:
                             2.0)
         block = lattice.EventLog([1.0], [RIGHT])
         cs = cs_of([2, 0, -5], [A, A, B], [A, A, B])
-        spl = coupling.couple_block(cs, real, block, 0.0, 2.0, "early",
-                                    exchange_copy=1)
-        assert not spl.disc_I and not spl.disc_J
+        coupling.couple_block(cs, real, block, 0.0, 2.0, "early",
+                              exchange_copy=1)
+        assert not cs.disc_I and not cs.disc_J
         if meets:
-            assert not spl.pairs
-            assert spl.singles == {3: B, 2: B, 1: A}
+            assert not cs.pairs
+            assert cs.singles == {3: B, 2: B, 1: A}
             assert list(cs.sigma) == list(cs.sigma_prime) == [A, B, B]
             assert list(cs.positions) == [2, 2, -5]
         else:
-            assert spl.pairs == {(2, 1)}
+            assert cs.pairs == {(2, 1)}
             assert list(cs.positions) == [2, 3, -5]
-        coupling.check_splitting(spl, cs)
+        coupling.check_splitting(cs)
 
     def test_pair_whose_members_do_not_jump(self):
         real = frozen_walks([1, 0, 5], [[], [], [(0.5, -1), (1.0, -1),
                                                  (2.5, 1)]], 3.0)
         block = lattice.EventLog([2.0], [RIGHT])
         cs = cs_of([1, 0, 5], [A, B, A], [B, A, A])
-        spl = coupling.couple_block(cs, real, block, 0.0, 3.0, "late",
-                                    exchange_copy=2)
-        assert spl.pairs == {(1, 2)}
+        coupling.couple_block(cs, real, block, 0.0, 3.0, "late",
+                              exchange_copy=2)
+        assert cs.pairs == {(1, 2)}
         assert list(cs.positions) == [1, 0, 4]
-        coupling.check_splitting(spl, cs)
+        coupling.check_splitting(cs)
 
     def test_entry_positions_off_the_realization(self):
         real = frozen_walks([1, 0, 5], [[], [], [(0.5, -1), (1.0, -1)]], 3.0)

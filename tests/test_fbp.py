@@ -57,8 +57,7 @@ class TestSolution:
         assert w[0] == 0.0 and np.all(w >= 0)
 
     def test_zero_exchange_rate_reduces_to_diffusion(self):
-        sol = fbp.solve_reference(macro.tent_pair(), 0.0, 0.1, 0.01,
-                                  both_variants=False)
+        sol = fbp.solve_reference(macro.tent_pair(), 0.0, 0.1, 0.01)
         one_shot = macro.gauss_convolve(macro.tent_pair(), 0.1)
         assert macro.l1_distance_u(sol.minus[-1], one_shot) <= 1e-4
 

@@ -352,9 +352,10 @@ class TestTrajectory:
         assert traj.absent_flip_count == 0
         for t in (0.0, cfg.micro_horizon / 3, cfg.micro_horizon):
             st = traj.state_at(t)
-            n_a = int(np.sum(st.colors == A))
-            assert (n_a, st.M - n_a) == lattice.color_counts_from_log(
-                h_a0, ps0.M, log, t)
+            # a left ring turns a b into an a, a right ring an a into a b
+            rung = log.marks[log.times <= t]
+            assert np.sum(st.colors == A) == (h_a0 + np.sum(rung == LEFT)
+                                              - np.sum(rung == RIGHT))
 
     def test_state_at_is_cadlag_at_ring_times(self):
         ps0 = ParticleState(np.array([0, 1]), np.array([A, B]))

@@ -89,15 +89,16 @@ class TestQuadrature:
         grid = GridSpec(0.0, 1.0, len(vals) - 1)
         f = np.array(vals)
         mass = float(macro.node_weights(grid) @ f)
+        # the head over (-inf, r] is the tail of the mirror beyond -r
         total = (macro.tail_integral(f, grid, r)
-                 + macro.head_integral(f, grid, r))
+                 + macro.tail_integral(f[::-1], grid.mirrored(), -r))
         assert total == pytest.approx(mass, abs=1e-12 + 1e-12 * mass)
 
     def test_tail_head_sum_to_mass(self, rng):
         p = random_class_u_pair(rng)
         for r in rng.uniform(p.grid.r_min, p.grid.r_max, size=10):
             total = (macro.tail_integral(p.u, p.grid, r)
-                     + macro.head_integral(p.u, p.grid, r))
+                     + macro.tail_integral(p.u[::-1], p.grid.mirrored(), -r))
             assert total == pytest.approx(p.mass_u, rel=1e-12)
 
     def test_tail_curve_matches_nodewise_integrals(self, rng):
@@ -155,16 +156,17 @@ class TestInverse:
                         <= 1e-15 * max(total, 1.0))
 
     def test_head_residual_over_the_whole_range(self, rng):
-        # head_integral is the total minus a tail, so it carries that
-        # subtraction's rounding; targets stay below the mirrored total,
+        # the head integral is taken as the mass minus a tail, so it carries
+        # that subtraction's rounding; targets stay below the mirrored total,
         # which can sit one ulp under the forward one
         for _ in range(self.N_PAIRS):
             p = random_class_u_pair(rng)
+            mass = float(macro.node_weights(p.grid) @ p.v)
             total = float(macro.tail_curve(p.v[::-1], p.grid.mirrored())[0])
             for target in [*rng.uniform(0.0, total, size=8), total]:
                 r = macro._invert_head(p.v, p.grid, target)
-                assert (abs(macro.head_integral(p.v, p.grid, r) - target)
-                        <= 1e-14 * max(total, 1.0))
+                head = mass - macro.tail_integral(p.v, p.grid, r)
+                assert abs(head - target) <= 1e-14 * max(total, 1.0)
 
     def test_tiny_density_cell_matches_bisection(self):
         # at densities near 1e-200 the discriminant underflows to 0
@@ -284,7 +286,8 @@ class TestCut:
         v = macro.tent(grid, -1.5, -0.5, 0.5) + macro.tent(grid, 0.5, 1.5, 1.0)
         p = ProfilePair(grid, u, v)
         target = min(macro.tail_integral(u, grid, 0.0),
-                     macro.head_integral(v, grid, 0.0))
+                     float(macro.node_weights(grid) @ v)
+                     - macro.tail_integral(v, grid, 0.0))
         cp = macro.cut_points(p, target)
         assert cp.R_delta == pytest.approx(0.5, abs=1e-7)
         assert cp.D_delta == pytest.approx(-0.5, abs=1e-7)
