@@ -15,6 +15,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -121,6 +122,11 @@ class FbpSolution:
             return lo
         hi = resample(self.plus[k], lo.grid)
         return ProfilePair(lo.grid, 0.5 * (lo.u + hi.u), 0.5 * (lo.v + hi.v))
+
+    @cached_property
+    def refined_boundaries(self) -> BoundaryCurves:
+        """`refined_boundary_curves(self)`, computed once for both sides."""
+        return refined_boundary_curves(self)
 
 
 def solve_reference(initial: ProfilePair, kappa: float, T: float, delta: float
@@ -233,12 +239,15 @@ def refined_boundary_curves(sol: FbpSolution) -> BoundaryCurves:
 def simulate_absorbed(starts_x: np.ndarray, starts_t: np.ndarray, t_end: float,
                       upper, dt: float, rng: np.random.Generator
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Euler paths with absorption at a moving upper boundary.
+    """Brownian paths with absorption at a moving upper boundary.
 
     `upper` maps (an array of) times to boundary values.  Paths activate at
-    their start times; between grid points the crossing probability of the
-    Brownian bridge, exp(-2(a1-x1)(a2-x2)/dt), catches excursions the
-    endpoints miss.  Returns (final positions, absorbed flags).
+    the first grid time at or after their start times.  The Gaussian
+    increments are exact, and the crossing probability of the Brownian
+    bridge between grid points, exp(-2(a1-x1)(a2-x2)/dt), is exact for a
+    boundary linear on each step.  Each step works on a compact slice of
+    the live paths and skips `exp` where it underflows to 0.  Returns
+    (final positions, absorbed flags).
     """
     x = np.asarray(starts_x, dtype=float).copy()
     starts_t = np.asarray(starts_t, dtype=float)
@@ -247,25 +256,62 @@ def simulate_absorbed(starts_x: np.ndarray, starts_t: np.ndarray, t_end: float,
     bvals = np.asarray(upper(grid_t), dtype=float)
     start_idx = np.clip(np.ceil(starts_t / dt - 1e-12).astype(int), 0, n_steps)
     absorbed = np.zeros(len(x), dtype=bool)
+    # paths by activation step, ascending index within a step
+    order = np.argsort(start_idx, kind="stable")
+    first = np.searchsorted(start_idx, np.arange(n_steps + 1), sorter=order)
+    # the live slice: unabsorbed active paths in ascending index (the order
+    # the normals are drawn in) and their positions
+    live = np.empty(0, dtype=order.dtype)
+    xl = np.empty(0)
+    sqrt_dt = math.sqrt(dt)
+    # exp(-2 g/dt) with g = (a1-x1)(a2-x2) is exactly 0 (and u < 0 never
+    # holds) unless g < 373 dt; the margin covers the rounding of the test
+    near_g = 373.0 * dt * (1.0 + 1e-9)
     for k in range(n_steps):
-        active = np.nonzero((start_idx <= k) & ~absorbed)[0]
-        if len(active) == 0:
+        new = order[first[k]:first[k + 1]]
+        if len(live) == 0:
+            live, xl = new, x[new]
+        elif len(new):
+            at = np.searchsorted(live, new)
+            live = np.insert(live, at, new)
+            xl = np.insert(xl, at, x[new])
+        if len(live) == 0:
             continue
         a1, a2 = bvals[k], bvals[k + 1]
-        x1 = x[active]
-        x2 = x1 + math.sqrt(dt) * rng.standard_normal(len(active))
-        hit = x2 >= a2
-        safe = ~hit
-        if np.any(safe):
-            p = np.exp(-2.0 * (a1 - x1[safe]) * (a2 - x2[safe]) / dt)
-            hit[safe] = rng.random(np.count_nonzero(safe)) < p
-        absorbed[active[hit]] = True
-        x[active] = x2
+        x2 = sqrt_dt * rng.standard_normal(len(live))
+        x2 += xl
+        hit = np.flatnonzero(x2 >= a2)
+        if len(hit) < len(live):
+            u = rng.random(len(live) - len(hit))
+            g = a1 - xl
+            g *= a2 - x2
+            g[hit] = np.inf
+            near = np.flatnonzero(g < near_g)
+            p = np.exp(-2.0 * (a1 - xl[near]) * (a2 - x2[near]) / dt)
+            # u is drawn for the paths not hit, in order
+            crossed = near[u[near - np.searchsorted(hit, near)] < p]
+            hit = np.sort(np.concatenate([hit, crossed]))
+        if len(hit):
+            gone = live[hit]
+            x[gone] = x2[hit]
+            absorbed[gone] = True
+            live = np.delete(live, hit)
+            x2 = np.delete(x2, hit)
+        xl = x2
+    x[live] = xl
     return x, absorbed
 
 
 def absorption_prob_const(r0: float, a: float, t: float) -> float:
-    """Reflection-principle hitting probability of a constant level a > r0."""
+    """Reflection-principle probability that a path from r0 reaches the
+    constant level a by time t: 1 from at or above the level, 0 at t = 0
+    from below it."""
+    if t < 0:
+        raise FbpError(f"time t={t} must be nonnegative")
+    if r0 >= a:
+        return 1.0
+    if t == 0:
+        return 0.0
     return 2.0 * (1.0 - 0.5 * (1.0 + math.erf((a - r0) / math.sqrt(2.0 * t))))
 
 
@@ -356,7 +402,7 @@ def _side_data(sol: FbpSolution, side: str, t: float
     v side is the u side of the mirrored problem."""
     if side not in ("u", "v"):
         raise FbpError(f"side must be 'u' or 'v', got {side!r}")
-    p0, bd, ref = sol.minus[0], refined_boundary_curves(sol), sol.profile_at(t)
+    p0, bd, ref = sol.minus[0], sol.refined_boundaries, sol.profile_at(t)
     if side == "v":
         return p0.mirrored(), bd.mirrored(), ref.mirrored()
     return p0, bd, ref

@@ -1,4 +1,5 @@
 """Free-boundary reference solution and its Monte Carlo validation."""
+import dataclasses
 import math
 
 import numpy as np
@@ -144,12 +145,95 @@ class TestRefinedBoundaries:
         assert np.allclose(bd.U + bd.V, 0.5, atol=1e-6)
 
 
+def reference_simulate_absorbed(starts_x, starts_t, t_end, upper, dt, rng):
+    """Test oracle: the plain sampler loop, which selects the active paths
+    from all n and exponentiates the bridge term of every path not hit."""
+    x = np.asarray(starts_x, dtype=float).copy()
+    starts_t = np.asarray(starts_t, dtype=float)
+    n_steps = macro.step_count(t_end, dt)
+    bvals = np.asarray(upper(dt * np.arange(n_steps + 1)), dtype=float)
+    start_idx = np.clip(np.ceil(starts_t / dt - 1e-12).astype(int), 0, n_steps)
+    absorbed = np.zeros(len(x), dtype=bool)
+    for k in range(n_steps):
+        active = np.nonzero((start_idx <= k) & ~absorbed)[0]
+        if len(active) == 0:
+            continue
+        a1, a2 = bvals[k], bvals[k + 1]
+        x1 = x[active]
+        x2 = x1 + math.sqrt(dt) * rng.standard_normal(len(active))
+        hit = x2 >= a2
+        safe = ~hit
+        if np.any(safe):
+            p = np.exp(-2.0 * (a1 - x1[safe]) * (a2 - x2[safe]) / dt)
+            hit[safe] = rng.random(np.count_nonzero(safe)) < p
+        absorbed[active[hit]] = True
+        x[active] = x2
+    return x, absorbed
+
+
+def _const(ts):
+    return np.full_like(ts, 0.6)
+
+
+def _moving(ts):
+    """Piecewise linear, knots off the time grid: out, back in, out."""
+    return np.interp(ts, [0.0, 0.0713, 0.1502, 0.25], [0.5, 0.9, 0.4, 0.7])
+
+
+# (starts_x, starts_t, t_end, upper, dt) from a generator and a size n
+SAMPLER_CASES = {
+    "zero-starts": lambda r, n: (r.normal(0.0, 0.3, n), np.zeros(n), 0.25,
+                                 _moving, 1e-3),
+    "uniform-starts": lambda r, n: (r.normal(0.0, 0.3, n),
+                                    r.uniform(0.0, 0.25, n), 0.25, _moving,
+                                    2.5e-4),
+    "starts-at-t-end": lambda r, n: (r.normal(0.0, 0.3, n), np.full(n, 0.25),
+                                     0.25, _moving, 1e-3),
+    "grid-aligned-starts": lambda r, n: (r.normal(0.0, 0.3, n),
+                                         1e-3 * r.integers(0, 251, n), 0.25,
+                                         _moving, 1e-3),
+    "above-the-boundary": lambda r, n: (r.uniform(0.3, 1.2, n),
+                                        r.uniform(0.0, 0.25, n), 0.25,
+                                        _moving, 1e-3),
+    "constant-boundary": lambda r, n: (r.uniform(-0.5, 0.6, n),
+                                       r.uniform(0.0, 0.1, n), 0.25, _const,
+                                       2.5e-4),
+    "no-paths": lambda r, n: (np.zeros(0), np.zeros(0), 0.25, _moving, 1e-3),
+}
+
+
 class TestAbsorbedPaths:
+    @pytest.mark.parametrize("case", sorted(SAMPLER_CASES))
+    def test_matches_the_reference_loop_bit_for_bit(self, case):
+        args = SAMPLER_CASES[case](np.random.default_rng(17), 3000)
+        rng_ref, rng = np.random.default_rng(5), np.random.default_rng(5)
+        x_ref, ab_ref = reference_simulate_absorbed(*args, rng_ref)
+        x, ab = fbp.simulate_absorbed(*args, rng)
+        assert np.array_equal(x, x_ref) and np.array_equal(ab, ab_ref)
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        if case == "starts-at-t-end":
+            assert np.array_equal(x, args[0]) and not ab.any()
+
     def test_hitting_probability_closed_form(self):
         p = fbp.absorption_prob_const(0.0, 1.0, 1.0)
         assert p == pytest.approx(2.0 * (1.0 - 0.5 * (1.0 + math.erf(
             1.0 / math.sqrt(2.0)))))
         assert fbp.absorption_prob_const(0.0, 1.0, 0.1) < p
+
+    def test_hitting_probability_from_at_or_above_the_level_is_one(self):
+        assert fbp.absorption_prob_const(2.0, 1.0, 0.25) == 1.0
+        assert fbp.absorption_prob_const(1.0, 1.0, 0.25) == 1.0
+        assert fbp.absorption_prob_const(1.0, 1.0, 0.0) == 1.0
+
+    def test_hitting_probability_at_time_zero(self):
+        assert fbp.absorption_prob_const(0.0, 1.0, 0.0) == 0.0
+        mc, exact, se = fbp.constant_boundary_check(
+            0.0, 1.0, 0.0, 100, 1e-3, np.random.default_rng(0))
+        assert mc == exact == 0.0 and se > 0
+
+    def test_hitting_probability_rejects_negative_time(self):
+        with pytest.raises(FbpError):
+            fbp.absorption_prob_const(0.0, 1.0, -0.1)
 
     def test_started_above_the_boundary_is_absorbed_immediately_almost(self):
         rng = np.random.default_rng(1)
@@ -208,6 +292,21 @@ class TestMcValidation:
         check = fbp.mc_validate(coarse_sol, 0.1, 4000, rng, dt=1e-3).mass
         assert check.target == pytest.approx(0.05)
         assert abs(check.z) <= 4.0
+
+    def test_refined_boundaries_computed_once_for_both_sides(
+            self, coarse_sol, monkeypatch):
+        sol = dataclasses.replace(coarse_sol)  # a copy with nothing cached
+        calls = []
+        refine = fbp.refined_boundary_curves
+        monkeypatch.setattr(fbp, "refined_boundary_curves",
+                            lambda s: calls.append(s) or refine(s))
+        for side in ("u", "v"):
+            fbp.mc_validate(sol, 0.1, 50, np.random.default_rng(0),
+                            side=side, dt=1e-3)
+        assert calls == [sol]
+        bd = refine(coarse_sol)
+        assert np.array_equal(sol.refined_boundaries.U, bd.U)
+        assert np.array_equal(sol.refined_boundaries.V, bd.V)
 
     def test_bad_side_rejected(self, coarse_sol):
         with pytest.raises(FbpError):
