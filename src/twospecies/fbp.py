@@ -129,6 +129,14 @@ class FbpSolution:
         return refined_boundary_curves(self)
 
 
+def _step_count(T: float, delta: float) -> int:
+    """`macro.step_count`, its error raised as an FbpError."""
+    try:
+        return step_count(T, delta)
+    except ProfileError as exc:
+        raise FbpError(str(exc)) from None
+
+
 def solve_reference(initial: ProfilePair, kappa: float, T: float, delta: float
                     ) -> FbpSolution:
     """Run the barrier iterations up to T in steps of delta and package the
@@ -139,10 +147,7 @@ def solve_reference(initial: ProfilePair, kappa: float, T: float, delta: float
     """
     from .macro import AnnihilationError, barrier_step
 
-    try:
-        n = step_count(T, delta)
-    except ProfileError as exc:
-        raise FbpError(str(exc)) from None
+    n = _step_count(T, delta)
     annihilated = False
     minus = [initial]
     try:
@@ -251,7 +256,7 @@ def simulate_absorbed(starts_x: np.ndarray, starts_t: np.ndarray, t_end: float,
     """
     x = np.asarray(starts_x, dtype=float).copy()
     starts_t = np.asarray(starts_t, dtype=float)
-    n_steps = step_count(t_end, dt)
+    n_steps = _step_count(t_end, dt)
     grid_t = dt * np.arange(n_steps + 1)
     bvals = np.asarray(upper(grid_t), dtype=float)
     start_idx = np.clip(np.ceil(starts_t / dt - 1e-12).astype(int), 0, n_steps)

@@ -70,9 +70,13 @@ class GridSpec:
         return GridSpec(-self.r_max, -self.r_min, self.n_cells)
 
 
+@functools.lru_cache(maxsize=16)
 def node_weights(grid: GridSpec) -> np.ndarray:
+    """Trapezoid weights of the nodes.  Memoized per grid, since a barrier
+    step asks for them several times, and returned read-only."""
     w = np.full(grid.n_nodes, grid.h)
     w[0] = w[-1] = grid.h / 2
+    w.flags.writeable = False
     return w
 
 
@@ -91,8 +95,10 @@ class ProfilePair:
         self.v = np.asarray(self.v, dtype=float)
         if self.u.shape != (self.grid.n_nodes,) or self.v.shape != (self.grid.n_nodes,):
             raise ProfileError("u, v must have one sample per grid node")
-        if np.any(self.u < 0) or np.any(self.v < 0):
-            raise ProfileError("profile samples must be nonnegative")
+        # written so that NaN fails too
+        if not (self.u.min() >= 0 and self.v.min() >= 0
+                and self.u.max() < math.inf and self.v.max() < math.inf):
+            raise ProfileError("profile samples must be finite and nonnegative")
         w = node_weights(self.grid)
         if self.mass_u is None:
             self.mass_u = float(w @ self.u)
@@ -137,8 +143,9 @@ def tail_integral(f: np.ndarray, grid: GridSpec, r) -> float | np.ndarray:
     tails = tail_curve(f, grid)
 
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    rc = np.clip(r_arr, nodes[0], nodes[-1])
-    i = np.clip(((rc - grid.r_min) / h).astype(int), 0, grid.n_cells - 1)
+    rc = np.minimum(np.maximum(r_arr, nodes[0]), nodes[-1])
+    i = np.minimum(np.maximum(((rc - grid.r_min) / h).astype(int), 0),
+                   grid.n_cells - 1)
     lam = (rc - nodes[i]) / h
     fr = (1 - lam) * f[i] + lam * f[i + 1]
     out = tails[i + 1] + 0.5 * (nodes[i + 1] - rc) * (fr + f[i + 1])
@@ -201,24 +208,33 @@ def _invert_head(f: np.ndarray, grid: GridSpec, target: float) -> float:
 
 
 def split_tail(f: np.ndarray, grid: GridSpec, mass: float) -> tuple[np.ndarray, np.ndarray]:
-    """Split f = kept + removed with the removed part carrying exactly `mass`,
-    taken from the right.  At most one node gets a fractional share, so both
-    parts are nonnegative and sum to f nodewise.
+    """Split the nonnegative, finite f = kept + removed with the removed part
+    carrying exactly `mass`, taken from the right.  At most one node gets a
+    fractional share, so both parts are nonnegative and sum to f nodewise.
     """
     f = np.asarray(f, dtype=float)
     node_mass = node_weights(grid) * f
-    total = float(node_mass.sum())
-    if mass < 0 or mass > total + 1e-12 * max(total, 1.0):
+    n = len(f)
+    # cum[i]: the mass strictly right of node n - 1 - i, summed from the
+    # right (cum[n] is the total); nondecreasing, so two searches find the
+    # nodes lo, ..., hi - 1 that give anything up: right-mass below `mass`,
+    # less the massless nodes at the end.  Elsewhere kept is f, removed 0.
+    cum = np.zeros(n + 1)
+    np.cumsum(node_mass[::-1], out=cum[1:])
+    total = float(cum[n])
+    if not 0 <= mass <= total + 1e-12 * max(total, 1.0):
         raise ProfileError(f"cannot remove mass {mass} from total {total}")
-    # mass of the nodes strictly right of each node, summed from the right
-    right = np.concatenate([np.cumsum(node_mass[:0:-1])[::-1], [0.0]])
-    take = np.clip(mass - right, 0.0, node_mass)
-    removed = np.zeros_like(f)
+    k = int(cum[:n].searchsorted(mass))
+    z = int(cum.searchsorted(0.0, side="right"))
+    lo, hi = n - k, n + 1 - z
+    node_mass = node_mass[lo:hi]
+    take = np.minimum(np.maximum(mass - cum[z - 1:k][::-1], 0.0), node_mass)
+    removed = np.zeros(n)
     nz = node_mass > 0
     # a share of f, not take / w, so that nodes taken whole are exact
-    removed[nz] = f[nz] * (take[nz] / node_mass[nz])
-    kept = f - removed
-    np.clip(kept, 0.0, None, out=kept)
+    removed[lo:hi][nz] = f[lo:hi][nz] * (take[nz] / node_mass[nz])
+    kept = f.copy()
+    np.maximum(f[lo:hi] - removed[lo:hi], 0.0, out=kept[lo:hi])
     return kept, removed
 
 
@@ -343,11 +359,20 @@ def gauss_kernel(h: float, t: float) -> np.ndarray:
 def gauss_convolve_samples(f: np.ndarray, grid: GridSpec, t: float
                            ) -> tuple[np.ndarray, GridSpec]:
     """Convolve node samples with the heat kernel; the grid gains the kernel
-    radius on each side (appended cells, alignment preserved)."""
+    radius on each side (appended cells, alignment preserved).  Only the
+    nonzero samples padded by a kernel width of zeros are convolved, so each
+    output sums the same window of samples as a convolution of all of f."""
+    f = np.asarray(f, dtype=float)
     k = gauss_kernel(grid.h, t)
-    radius = (len(k) - 1) // 2
-    out = np.convolve(np.asarray(f, dtype=float), k, mode="full")
-    return out, grid.extended(radius, radius)
+    width = len(k) - 1
+    out = np.zeros(len(f) + width)
+    nz = f != 0
+    first = int(nz.argmax())
+    if nz[first]:
+        lo = max(first - width, 0)
+        hi = min(len(f) - int(nz[::-1].argmax()) + width, len(f))
+        out[lo:hi + width] = np.convolve(f[lo:hi], k, mode="full")
+    return out, grid.extended(width // 2, width // 2)
 
 
 def _trim(u: np.ndarray, v: np.ndarray, grid: GridSpec, lo_limit: int, hi_limit: int
@@ -374,8 +399,8 @@ def gauss_convolve(p: ProfilePair, t: float) -> ProfilePair:
     v_ext, _ = gauss_convolve_samples(p.v, p.grid, t)
     radius = grid_ext.n_cells - p.grid.n_cells
     lo_limit, hi_limit = radius // 2, radius // 2 + p.grid.n_cells
-    np.clip(u_ext, 0.0, None, out=u_ext)
-    np.clip(v_ext, 0.0, None, out=v_ext)
+    np.maximum(u_ext, 0.0, out=u_ext)
+    np.maximum(v_ext, 0.0, out=v_ext)
     u2, v2, grid2 = _trim(u_ext, v_ext, grid_ext, lo_limit, hi_limit)
     return ProfilePair(grid2, u2, v2)
 
@@ -420,7 +445,9 @@ def iterate_barriers(p0: ProfilePair, delta: float, kappa: float, n: int,
 
 def order_gap(p1: ProfilePair, p2: ProfilePair) -> tuple[float, float]:
     """sup_r [F(r; u1) - F(r; u2)] over the union node set, with its argmax."""
-    rs = np.union1d(p1.grid.nodes(), p2.grid.nodes())
+    # sorted and deduplicated by hand: np.union1d imports numpy.ma
+    rs = np.sort(np.concatenate([p1.grid.nodes(), p2.grid.nodes()]))
+    rs = rs[np.append(True, rs[1:] != rs[:-1])]
     f1 = np.asarray(tail_integral(p1.u, p1.grid, rs))
     f2 = np.asarray(tail_integral(p2.u, p2.grid, rs))
     gaps = f1 - f2
@@ -512,9 +539,10 @@ def l1_distance_u(p1: ProfilePair, p2: ProfilePair) -> float:
     hi = max(p1.grid.r_max, p2.grid.r_max)
     h = min(p1.grid.h, p2.grid.h)
     grid = GridSpec(lo, hi, max(int(round((hi - lo) / h)), 1))
-    a = resample(p1, grid)
-    b = resample(p2, grid)
-    return float(node_weights(grid) @ np.abs(a.u - b.u))
+    r = grid.nodes()
+    a = np.interp(r, p1.grid.nodes(), p1.u, left=0.0, right=0.0)
+    b = np.interp(r, p2.grid.nodes(), p2.u, left=0.0, right=0.0)
+    return float(node_weights(grid) @ np.abs(a - b))
 
 
 def profile_to_csv(p: ProfilePair, path) -> None:

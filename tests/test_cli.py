@@ -1,5 +1,8 @@
 """End-to-end runs of the command line harness."""
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -125,6 +128,31 @@ class TestFbp:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert all(c["max_abs_z"] < 4.0 for c in report["mc"])
+
+
+class TestImports:
+    def test_barrier_work_leaves_numpy_ma_unimported(self, tmp_path):
+        # np.union1d imports numpy.ma, about 0.8 MB of resident memory
+        runs = [[cmd, "--config", write_cfg(tmp_path, f"{cmd}.json", cfg),
+                 "--out", str(tmp_path / f"out_{cmd}")] for cmd, cfg in (
+            ("barriers", {"kappa": 0.5, "delta": 0.02, "horizon_T": 0.1}),
+            ("fbp", {"kappa": 0.5, "delta": 0.01, "horizon_T": 0.1}))]
+        script = f"""
+import sys
+from twospecies import cli, fbp, macro
+sol = fbp.solve_reference(macro.tent_pair(), 0.5, 0.1, 0.01)
+macro.order_gap(sol.minus[-1], sol.plus[-1])
+for argv in {runs!r}:
+    assert cli.main(argv) == 0
+print("numpy.ma" in sys.modules)
+"""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script], text=True,
+                              capture_output=True, timeout=300,
+                              env=os.environ | {"PYTHONPATH": path})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
 
 class TestHydroCompare:

@@ -235,6 +235,15 @@ class TestAbsorbedPaths:
         with pytest.raises(FbpError):
             fbp.absorption_prob_const(0.0, 1.0, -0.1)
 
+    @pytest.mark.parametrize("t, dt", [(-0.1, 1e-3), (0.1, 0.03)])
+    def test_bad_horizon_or_step_is_an_fbp_error(self, t, dt):
+        rng = np.random.default_rng(0)
+        with pytest.raises(FbpError):
+            fbp.constant_boundary_check(0.0, 1.0, t, 10, dt, rng)
+        with pytest.raises(FbpError):
+            fbp.simulate_absorbed(np.zeros(10), np.zeros(10), t,
+                                  lambda ts: np.ones_like(ts), dt, rng)
+
     def test_started_above_the_boundary_is_absorbed_immediately_almost(self):
         rng = np.random.default_rng(1)
         _, absorbed = fbp.simulate_absorbed(
@@ -247,6 +256,23 @@ class TestAbsorbedPaths:
         mc, exact, se = fbp.constant_boundary_check(0.0, 1.0, 0.25, 20000,
                                                     1e-3, rng)
         assert abs(mc - exact) <= 4.0 * se + 0.005
+
+    def test_linear_boundary_gate(self):
+        # a path from 0 reaches the line a + b s by time t with probability
+        # Phi(-(a + bt)/sqrt(t)) + exp(-2ab) Phi((bt - a)/sqrt(t)); the
+        # bridge term is exact for a line, so only noise separates them
+        a, b, t, n = 1.0, -1.0, 0.25, 20000
+        rng = np.random.default_rng(np.random.SeedSequence(2014))
+        _, absorbed = fbp.simulate_absorbed(
+            np.zeros(n), np.zeros(n), t, lambda ts: a + b * ts, 1e-3, rng)
+
+        def phi(x):
+            return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+        exact = (phi(-(a + b * t) / math.sqrt(t))
+                 + math.exp(-2.0 * a * b) * phi((b * t - a) / math.sqrt(t)))
+        mc = float(np.mean(absorbed))
+        assert abs(mc - exact) <= 4.0 * math.sqrt(exact * (1 - exact) / n)
 
     def test_late_starters_survive_more(self):
         rng = np.random.default_rng(3)

@@ -47,6 +47,24 @@ class TestGrids:
         with pytest.raises(ProfileError):
             ProfilePair(grid, -np.ones(5), np.ones(5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("species", ["u", "v"])
+    def test_profile_rejects_nonfinite_samples(self, bad, species):
+        grid = GridSpec(0.0, 1.0, 4)
+        f = np.array([0.0, 1.0, 1.0, 1.0, 0.0])
+        g = f.copy()
+        g[1] = bad
+        with pytest.raises(ProfileError):
+            ProfilePair(grid, *((g, f) if species == "u" else (f, g)))
+
+    def test_weights_are_shared_and_read_only(self):
+        grid = GridSpec(-1.0, 1.0, 4)
+        w = macro.node_weights(grid)
+        assert macro.node_weights(GridSpec(-1.0, 1.0, 4)) is w
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+
     def test_profile_mirror_is_an_involution(self, rng):
         p = random_class_u_pair(rng)
         m = p.mirrored()
@@ -192,7 +210,77 @@ class TestInverse:
                 macro._invert_head(p.u, p.grid, target)
 
 
+def reference_split_tail(f, grid, mass):
+    """Test oracle: the split over every node, which clips take to each
+    node's mass and shares out all of them."""
+    f = np.asarray(f, dtype=float)
+    node_mass = macro.node_weights(grid) * f
+    total = float(node_mass.sum())
+    if mass < 0 or mass > total + 1e-12 * max(total, 1.0):
+        raise ProfileError(f"cannot remove mass {mass} from total {total}")
+    right = np.concatenate([np.cumsum(node_mass[:0:-1])[::-1], [0.0]])
+    take = np.clip(mass - right, 0.0, node_mass)
+    removed = np.zeros_like(f)
+    nz = node_mass > 0
+    removed[nz] = f[nz] * (take[nz] / node_mass[nz])
+    kept = f - removed
+    np.clip(kept, 0.0, None, out=kept)
+    return kept, removed
+
+
+def reference_split_head(f, grid, mass):
+    kept_r, removed_r = reference_split_tail(f[::-1], grid.mirrored(), mass)
+    return kept_r[::-1], removed_r[::-1]
+
+
+def split_cases(rng):
+    """(f, grid, masses) with the masses a split can end on: 0, the total
+    and a little above it, exactly on a node from either end, inside a
+    zero-density stretch, and random ones."""
+    cases = []
+    for kind in ("tent", "gaps", "random"):
+        for _ in range(10):
+            if kind == "tent":
+                f = random_class_u_pair(rng).u
+                grid = GridSpec(0.0, 1.0, len(f) - 1)
+            else:
+                grid = GridSpec(float(rng.uniform(-2.0, 0.0)),
+                                float(rng.uniform(0.5, 2.0)),
+                                int(rng.integers(1, 60)))
+                f = rng.exponential(size=grid.n_nodes)
+            if kind == "gaps":
+                # zero-density stretches at both ends and inside
+                f[rng.random(grid.n_nodes) < 0.4] = 0.0
+                f[:int(rng.integers(0, grid.n_nodes))] = 0.0
+                f[int(rng.integers(0, grid.n_nodes)):] = 0.0
+            node_mass = macro.node_weights(grid) * f
+            total = float(node_mass.sum())
+            on_nodes = [float(x) for x in np.cumsum(node_mass[::-1])]
+            on_nodes += [float(x) for x in np.cumsum(node_mass)]
+            # a mass a little above the total is accepted and takes all
+            masses = ([0.0, total, total * (1.0 + 1e-13)] + on_nodes
+                      + list(rng.uniform(0.0, total, size=8)))
+            cases.append((f, grid, masses))
+    return cases
+
+
 class TestSplits:
+    def test_split_tail_matches_the_reference_bit_for_bit(self, rng):
+        for f, grid, masses in split_cases(rng):
+            for m in masses:
+                kept, removed = macro.split_tail(f, grid, m)
+                kept_ref, removed_ref = reference_split_tail(f, grid, m)
+                assert np.array_equal(kept, kept_ref)
+                assert np.array_equal(removed, removed_ref)
+
+    def test_split_head_matches_the_reference_bit_for_bit(self, rng):
+        for f, grid, masses in split_cases(rng):
+            for m in masses:
+                kept, removed = macro.split_head(f, grid, m)
+                kept_ref, removed_ref = reference_split_head(f, grid, m)
+                assert np.array_equal(kept, kept_ref)
+                assert np.array_equal(removed, removed_ref)
+
     @pytest.mark.parametrize("mass", [0.0, 0.1, 0.37, 0.999])
     def test_split_tail_exact(self, rng, mass):
         p = random_class_u_pair(rng)
@@ -220,8 +308,9 @@ class TestSplits:
 
     def test_split_rejects_excess_mass(self, rng):
         p = random_class_u_pair(rng)
-        with pytest.raises(ProfileError):
-            macro.split_tail(p.u, p.grid, 2.0 * p.mass_u + 1.0)
+        for m in (2.0 * p.mass_u + 1.0, -1e-12, np.nan):
+            with pytest.raises(ProfileError):
+                macro.split_tail(p.u, p.grid, m)
 
 
 class TestClassU:
@@ -311,6 +400,22 @@ class TestGaussian:
         with pytest.raises(ProfileError):
             macro.gauss_kernel(0.01, 0.0)
 
+    def test_samples_match_the_convolution_of_all_of_f(self, rng):
+        # only the padded nonzero stretch is convolved, bit for bit the same
+        for n_cells, t in ((400, 1e-3), (400, 0.05), (30, 0.05), (1, 0.01)):
+            grid = GridSpec(-1.0, 1.0, n_cells)
+            for _ in range(10):
+                f = rng.exponential(size=grid.n_nodes)
+                a, b = np.sort(rng.integers(0, grid.n_nodes + 1, size=2))
+                f[:a] = 0.0
+                f[b:] = 0.0
+                f[rng.random(grid.n_nodes) < 0.2] = 0.0
+                k = macro.gauss_kernel(grid.h, t)
+                radius = (len(k) - 1) // 2
+                out, ext = macro.gauss_convolve_samples(f, grid, t)
+                assert np.array_equal(out, np.convolve(f, k, mode="full"))
+                assert ext == grid.extended(radius, radius)
+
     def test_convolution_preserves_mass(self, rng):
         p = random_class_u_pair(rng)
         g = macro.gauss_convolve(p, 0.05)
@@ -367,6 +472,16 @@ class TestOrder:
         gap, r_at = macro.order_gap(right, left)
         assert gap == pytest.approx(1.0, abs=1e-9)
         assert 1.5 <= r_at <= 2.5
+
+    def test_order_gap_matches_the_union_of_the_node_sets(self, rng):
+        for _ in range(10):
+            lo, hi = ordered_pair(rng)
+            for p1, p2 in ((lo, hi), (hi, lo), (hi, hi)):
+                rs = np.union1d(p1.grid.nodes(), p2.grid.nodes())
+                gaps = (macro.tail_integral(p1.u, p1.grid, rs)
+                        - macro.tail_integral(p2.u, p2.grid, rs))
+                i = int(np.argmax(gaps))
+                assert macro.order_gap(p1, p2) == (gaps[i], rs[i])
 
     def test_order_mod_m(self, rng):
         # a cut lies below its source; the source exceeds it by a positive
@@ -452,6 +567,17 @@ class TestHelpers:
         assert macro.l1_distance_u(p, p) == pytest.approx(0.0, abs=1e-12)
         q = ProfilePair(p.grid, 2.0 * p.u, p.v)
         assert macro.l1_distance_u(p, q) == pytest.approx(p.mass_u, rel=1e-6)
+
+    def test_l1_distance_u_is_the_resampled_distance(self, rng):
+        for _ in range(10):
+            p, q = random_class_u_pair(rng), random_class_u_pair(rng)
+            lo = min(p.grid.r_min, q.grid.r_min)
+            hi = max(p.grid.r_max, q.grid.r_max)
+            h = min(p.grid.h, q.grid.h)
+            grid = GridSpec(lo, hi, max(int(round((hi - lo) / h)), 1))
+            a, b = macro.resample(p, grid), macro.resample(q, grid)
+            assert macro.l1_distance_u(p, q) == float(
+                macro.node_weights(grid) @ np.abs(a.u - b.u))
 
     def test_profile_csv_layout(self, rng, tmp_path):
         p = random_class_u_pair(rng)
