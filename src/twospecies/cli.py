@@ -19,7 +19,6 @@ import numbers
 import sys
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -166,15 +165,6 @@ def write_report(out: Path, report: dict) -> None:
         json.dump(report, fh, indent=2)
 
 
-def map_seeds(fn, n_seeds: int, threads: int) -> list:
-    """Run fn(rep) for rep in 0..n_seeds-1; each replica owns a seed
-    substream, so thread scheduling cannot change the results."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, range(n_seeds)))
-    return [fn(rep) for rep in range(n_seeds)]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -184,8 +174,7 @@ def cmd_simulate(args, cfg: dict, out: Path) -> int:
     profile = profile_from_config(cfg)
 
     def one(rep: int) -> dict:
-        ss = np.random.SeedSequence(entropy=scfg.seed, spawn_key=(rep,))
-        rng_init, rng_clock, rng_walk = map(np.random.default_rng, ss.spawn(3))
+        rng_init, rng_clock, rng_walk = lattice.replica_rngs(scfg.seed, rep)
         ps0 = lattice.sample_initial(profile, scfg, rng_init)
         log = lattice.sample_clock(scfg, rng_clock)
         traj = lattice.run_true(ps0, log, scfg.micro_horizon, rng=rng_walk)
@@ -202,7 +191,7 @@ def cmd_simulate(args, cfg: dict, out: Path) -> int:
             "absent_flips": traj.absent_flip_count,
         }
 
-    rows = map_seeds(one, args.seeds, args.threads)
+    rows = lattice.map_seeds(one, args.seeds, args.threads)
     write_report(out, {"runs": rows})
     return 0
 
@@ -218,7 +207,8 @@ def cmd_couple_verify(args, cfg: dict, out: Path) -> int:
     if sand_cfg is not None:
         srep = coupling.verify_sandwich(sim_config(sand_cfg),
                                         profile_from_config(sand_cfg),
-                                        sand_cfg["delta"], args.seeds)
+                                        sand_cfg["delta"], args.seeds,
+                                        threads=args.threads)
         report["sandwich"] = srep.to_dict()
         ok = ok and srep.ok
     if not report:
@@ -301,8 +291,7 @@ def cmd_hydro_compare(args, cfg: dict, out: Path) -> int:
     ref_tail_v = np.asarray(macro.tail_integral(ref.v, ref.grid, rs))
 
     def one(rep: int) -> dict:
-        ss = np.random.SeedSequence(entropy=scfg.seed, spawn_key=(rep,))
-        rng_init, rng_clock, rng_walk = map(np.random.default_rng, ss.spawn(3))
+        rng_init, rng_clock, rng_walk = lattice.replica_rngs(scfg.seed, rep)
         ps0 = lattice.sample_initial(profile, scfg, rng_init)
         log = lattice.sample_clock(scfg, rng_clock)
         t_micro = t_eval / scfg.epsilon**2
@@ -315,7 +304,7 @@ def cmd_hydro_compare(args, cfg: dict, out: Path) -> int:
         return {"seed_index": rep, "sup_dev_u": float(dev_u),
                 "sup_dev_v": float(dev_v)}
 
-    rows = map_seeds(one, args.seeds, args.threads)
+    rows = lattice.map_seeds(one, args.seeds, args.threads)
     devs = np.array([max(r["sup_dev_u"], r["sup_dev_v"]) for r in rows])
     mean = float(devs.mean())
     se = float(devs.std(ddof=1) / np.sqrt(len(devs))) if len(devs) > 1 else 0.0
@@ -354,7 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--seeds", type=int, default=1,
                     help="number of independent replicas (default 1)")
     ap.add_argument("--threads", type=int, default=1,
-                    help="max worker threads for replica fan-out (default 1)")
+                    help="max worker processes for the replicas (default 1); "
+                         "capped at the usable CPUs, serial where the OS "
+                         "has no fork")
     return ap
 
 

@@ -11,13 +11,15 @@ are 1-based throughout, matching the lattice module.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .lattice import (A, B, COLORS, LEFT, MARKS, RIGHT, EventLog,
                       PositionRealization, SimConfig, as_codes, in_X,
-                      rank_select, run_true, sample_clock, sample_initial)
+                      map_seeds, rank_select, replica_rngs, run_true,
+                      sample_clock, sample_initial)
 from .macro import ProfilePair, step_count
 
 
@@ -546,8 +548,66 @@ def couple_block(cs: CoupledState, real: PositionRealization, block: EventLog,
             apply_C2(cs, mark, exchange_copy=exchange_copy)
 
 
+def _sandwich_seed(cfg: SimConfig, profile: ProfilePair, K: int,
+                   block_len: float, rep: int) -> tuple[bool, list[str], int]:
+    """One seed of `verify_sandwich`: (excluded, violations, count
+    mismatches); a seed leaving the survival set is excluded unchecked."""
+    rng_init, rng_clock, rng_walk = replica_rngs(cfg.seed, rep)
+    ps0 = sample_initial(profile, cfg, rng_init)
+    log = sample_clock(cfg, rng_clock)
+    t_end = K * block_len
+    h_a0 = int(np.sum(ps0.colors == A))
+    if not in_X(h_a0, ps0.M, log, t_end):
+        return True, [], 0
+    real = PositionRealization.sample(ps0.positions, t_end, rng_walk)
+    traj = run_true(ps0, log, t_end, realization=real)
+    counts_mismatch = 0
+    violations: list[str] = []
+    plus_colors = ps0.colors.copy()
+    minus_colors = ps0.colors.copy()
+    for k in range(K + 1):
+        t_k = k * block_len
+        true_k = traj.state_at(t_k)
+        n_a = np.count_nonzero(true_k.colors == A)
+        if (np.count_nonzero(plus_colors == A) != n_a
+                or np.count_nonzero(minus_colors == A) != n_a):
+            counts_mismatch += 1
+        for lo, hi, tag in ((minus_colors, true_k.colors, "postponed<=true"),
+                            (true_k.colors, plus_colors,
+                             "true<=anticipated")):
+            gap, site = order_witness(true_k.positions, lo, hi)
+            if gap > 0:
+                violations.append(
+                    f"seed {rep}, block {k}, {tag} fails at site {site}")
+        if k == K:
+            break
+        t_next = (k + 1) * block_len
+        block = log.restrict(t_k, t_next)
+        try:
+            cs_p = CoupledState(true_k.positions, plus_colors, true_k.colors)
+            couple_block(cs_p, real, block, t_k, t_next, "early",
+                         exchange_copy=1)
+            cs_m = CoupledState(true_k.positions, true_k.colors, minus_colors)
+            couple_block(cs_m, real, block, t_k, t_next, "late",
+                         exchange_copy=2)
+        except (CouplingError, SplittingFault) as exc:
+            violations.append(f"seed {rep}, block {k}: {exc}")
+            break
+        true_next = traj.state_at(t_next).colors
+        if (cs_p.disc_I or cs_p.disc_J or cs_m.disc_I or cs_m.disc_J
+                or not np.array_equal(cs_p.sigma_prime, true_next)
+                or not np.array_equal(cs_m.sigma, true_next)):
+            violations.append(
+                f"seed {rep}, block {k}: protocol left discrepancies "
+                "or lost track of the true run")
+            break
+        plus_colors = cs_p.sigma.copy()
+        minus_colors = cs_m.sigma_prime.copy()
+    return False, violations, counts_mismatch
+
+
 def verify_sandwich(cfg: SimConfig, profile: ProfilePair, delta: float,
-                    seeds: int) -> SandwichReport:
+                    seeds: int, threads: int = 1) -> SandwichReport:
     """For each seed, run the true evolution plus coupled realizations of the
     anticipated and postponed block evolutions on shared positions and log,
     and check the tail-mass sandwich at every block time and site.
@@ -555,71 +615,15 @@ def verify_sandwich(cfg: SimConfig, profile: ProfilePair, delta: float,
     The comparison copies are built blockwise through the two-copy protocol,
     with every same-site exchange directed at the comparison copy, so the
     true run stays untouched and the sandwich is deterministic per seed.
-    Runs leaving the survival set are excluded and counted.
+    Runs leaving the survival set are excluded and counted.  The seeds fan
+    out over up to `threads` worker processes (`lattice.map_seeds`); the
+    report is the same for every `threads`.
     """
-    block_len = delta / cfg.epsilon**2
     K = step_count(cfg.horizon_T, delta)
-    t_end = K * block_len
-
-    n_excluded = 0
-    n_violations = 0
-    counts_mismatch = 0
-    violations: list[str] = []
-    for rep in range(seeds):
-        ss = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(rep,))
-        rng_init, rng_clock, rng_walk = map(np.random.default_rng, ss.spawn(3))
-        ps0 = sample_initial(profile, cfg, rng_init)
-        log = sample_clock(cfg, rng_clock)
-        h_a0 = int(np.sum(ps0.colors == A))
-        if not in_X(h_a0, ps0.M, log, t_end):
-            n_excluded += 1
-            continue
-        real = PositionRealization.sample(ps0.positions, t_end, rng_walk)
-        traj = run_true(ps0, log, t_end, realization=real)
-        plus_colors = ps0.colors.copy()
-        minus_colors = ps0.colors.copy()
-        for k in range(K + 1):
-            t_k = k * block_len
-            true_k = traj.state_at(t_k)
-            n_a = np.count_nonzero(true_k.colors == A)
-            if (np.count_nonzero(plus_colors == A) != n_a
-                    or np.count_nonzero(minus_colors == A) != n_a):
-                counts_mismatch += 1
-            for lo, hi, tag in ((minus_colors, true_k.colors, "postponed<=true"),
-                                (true_k.colors, plus_colors,
-                                 "true<=anticipated")):
-                gap, site = order_witness(true_k.positions, lo, hi)
-                if gap > 0:
-                    n_violations += 1
-                    violations.append(
-                        f"seed {rep}, block {k}, {tag} fails at site {site}")
-            if k == K:
-                break
-            t_next = (k + 1) * block_len
-            block = log.restrict(t_k, t_next)
-            try:
-                cs_p = CoupledState(true_k.positions, plus_colors,
-                                    true_k.colors)
-                couple_block(cs_p, real, block, t_k, t_next, "early",
-                             exchange_copy=1)
-                cs_m = CoupledState(true_k.positions, true_k.colors,
-                                    minus_colors)
-                couple_block(cs_m, real, block, t_k, t_next, "late",
-                             exchange_copy=2)
-            except (CouplingError, SplittingFault) as exc:
-                n_violations += 1
-                violations.append(f"seed {rep}, block {k}: {exc}")
-                break
-            true_next = traj.state_at(t_next).colors
-            if (cs_p.disc_I or cs_p.disc_J or cs_m.disc_I or cs_m.disc_J
-                    or not np.array_equal(cs_p.sigma_prime, true_next)
-                    or not np.array_equal(cs_m.sigma, true_next)):
-                n_violations += 1
-                violations.append(
-                    f"seed {rep}, block {k}: protocol left discrepancies "
-                    "or lost track of the true run")
-                break
-            plus_colors = cs_p.sigma.copy()
-            minus_colors = cs_m.sigma_prime.copy()
-    return SandwichReport(seeds, n_excluded, n_violations, violations,
-                          counts_mismatch)
+    seed_run = functools.partial(_sandwich_seed, cfg, profile, K,
+                                 delta / cfg.epsilon**2)
+    outcomes = map_seeds(seed_run, seeds, threads)
+    violations = [v for _, vs, _ in outcomes for v in vs]
+    return SandwichReport(seeds, sum(ex for ex, _, _ in outcomes),
+                          len(violations), violations,
+                          sum(cm for _, _, cm in outcomes))

@@ -10,6 +10,7 @@ b = 1, right = 0, left = 1, so mark m recolors species m to 1 - m.
 from __future__ import annotations
 
 import csv
+import os
 import warnings
 from dataclasses import dataclass, replace
 
@@ -444,6 +445,79 @@ def in_X(h_a0: int, M: int, log: EventLog, t_end: float) -> bool:
     signs = np.where(log.marks[sel] == LEFT, 1, -1)
     tally = h_a0 + np.concatenate([[0], np.cumsum(signs)])
     return bool(np.all((tally > 0) & (tally < M)))
+
+
+# ---------------------------------------------------------------------------
+# replicas
+
+
+def replica_rngs(seed: int, rep: int) -> tuple[np.random.Generator, ...]:
+    """The (initial, clock, walk) generators of replica `rep` of `seed`.
+
+    Each replica owns the substream SeedSequence(seed, spawn_key=(rep,)),
+    so its draws depend on nothing but (seed, rep): not on the order in
+    which replicas run, nor on the process that runs them.
+    """
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(rep,))
+    return tuple(map(np.random.default_rng, ss.spawn(3)))
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def worker_count(threads: int, n_seeds: int) -> int:
+    """Worker processes for n_seeds replicas at --threads `threads`: never
+    more than the replicas or the usable CPUs; 1 means run serially."""
+    return max(1, min(threads, n_seeds, usable_cpus()))
+
+
+# Set in each forked worker by its initializer; the parent never sets it.
+_worker_job: tuple | None = None
+
+
+def _start_worker(fn, n_seeds: int, workers: int) -> None:
+    global _worker_job
+    _worker_job = (fn, n_seeds, workers)
+
+
+def _run_chunk(first: int) -> list:
+    fn, n_seeds, workers = _worker_job
+    return [fn(rep) for rep in range(first, n_seeds, workers)]
+
+
+def map_seeds(fn, n_seeds: int, threads: int) -> list:
+    """[fn(rep) for rep in range(n_seeds)], fanned out over forked workers.
+
+    The reps are cut into `worker_count` strided chunks, i, i + workers,
+    ..., one pool task each, and the rows are put back in rep order, so
+    with per-replica substreams (`replica_rngs`) the list is the serial
+    one.  Workers are forked, not spawned: a forked worker inherits `fn`,
+    closures included, and the imported modules, so nothing but the rows
+    is pickled and no worker re-imports numpy.  Fork copies only the
+    calling thread, so call this from a process running no other threads.
+    Without `fork`, or with one worker, the replicas run serially here.
+    An exception raised by a replica reaches the caller with its type,
+    after every worker has exited.
+    """
+    workers = worker_count(threads, n_seeds)
+    if workers > 1:
+        # imported here: they cost tens of ms, and most runs never fork
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            rows = [None] * n_seeds
+            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                     _start_worker, (fn, n_seeds, workers)
+                                     ) as pool:
+                for first, chunk in enumerate(pool.map(_run_chunk,
+                                                       range(workers))):
+                    rows[first::workers] = chunk
+            return rows
+    return [fn(rep) for rep in range(n_seeds)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end runs of the command line harness."""
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from twospecies import cli
+from twospecies import cli, coupling, lattice
 from twospecies.cli import main
 
 
@@ -30,6 +31,24 @@ TENT_PROFILE = {
     "u_tent": [-1.0, 0.0, 1.0],
     "v_tent": [-0.5, 1.0, 1.0],
 }
+
+
+@pytest.fixture
+def four_cpus(monkeypatch):
+    """Let --threads alone set the worker count, whatever this host has."""
+    monkeypatch.setattr(lattice, "usable_cpus", lambda: 4)
+
+
+def reports_at(tmp_path, command, cfg, seeds, *threads):
+    """report.json of `command` at each --threads value, and its out dir."""
+    cfg_path = write_cfg(tmp_path, f"{command}.json", cfg)
+    outs = []
+    for t in threads:
+        out = tmp_path / f"out_{command}_t{t}"
+        assert main([command, "--config", cfg_path, "--out", str(out),
+                     "--seeds", str(seeds), "--threads", str(t)]) == 0
+        outs.append(out)
+    return outs
 
 
 class TestSimulate:
@@ -56,6 +75,13 @@ class TestSimulate:
             name = f"occupation_seed{rep}.csv"
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_uneven_split_does_not_change_results(self, tmp_path, four_cpus):
+        out1, out3 = reports_at(tmp_path, "simulate", SIM_CFG, 5, 1, 3)
+        names = sorted(f.name for f in out1.iterdir() if f.suffix == ".csv")
+        assert len(names) == 10
+        for name in names + ["report.json"]:
+            assert (out1 / name).read_bytes() == (out3 / name).read_bytes()
+
     def test_custom_profile_block(self, tmp_path):
         code, _ = run(tmp_path, "simulate", dict(SIM_CFG, profile=TENT_PROFILE))
         assert code == 0
@@ -78,6 +104,23 @@ class TestCoupleVerify:
         report = json.loads((out / "report.json").read_text())
         assert report["exhaustive"]["ok"]
         assert report["sandwich"]["n_violations"] == 0
+
+    def test_threads_do_not_change_the_report(self, tmp_path, monkeypatch,
+                                              four_cpus):
+        fanned = []
+
+        def spy(fn, n_seeds, threads):
+            fanned.append(threads)
+            return lattice.map_seeds(fn, n_seeds, threads)
+
+        monkeypatch.setattr(coupling, "map_seeds", spy)
+        cfg = {"sandwich": {"epsilon": 0.1, "kappa": 1.0, "horizon_T": 0.5,
+                            "seed": 4, "delta": 0.25}}
+        outs = reports_at(tmp_path, "couple-verify", cfg, 6, 1, 2)
+        reports = [(out / "report.json").read_bytes() for out in outs]
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["sandwich"]["n_seeds"] == 6
+        assert fanned == [1, 2]
 
     def test_empty_config_is_a_usage_error(self, tmp_path):
         code, _ = run(tmp_path, "couple-verify", {})
@@ -155,6 +198,52 @@ print("numpy.ma" in sys.modules)
         assert done.stdout.strip() == "False"
 
 
+    def test_cli_import_leaves_the_process_pool_unimported(self):
+        # the fan-out imports them itself: they cost tens of ms at start-up
+        script = ("import sys, twospecies.cli\n"
+                  "print(sorted({'multiprocessing', 'concurrent.futures'}"
+                  " & set(sys.modules)))")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script], text=True,
+                              capture_output=True, timeout=300,
+                              env=os.environ | {"PYTHONPATH": path})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+
+class TestReplicaFailures:
+    """A replica's exception reaches main with its type at any --threads,
+    and no worker outlives the call."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_simulation_error_in_a_replica_exits_2(self, tmp_path, capsys,
+                                                   four_cpus, threads):
+        # 0.2 total mass at epsilon 0.5: each replica draws zero particles
+        tiny = dict(TENT_PROFILE, u_tent=[-1.0, 0.0, 0.1],
+                    v_tent=[-0.5, 1.0, 0.1])
+        code, _ = run(tmp_path, "simulate",
+                      dict(SIM_CFG, epsilon=0.5, profile=tiny),
+                      "--seeds", "3", "--threads", threads)
+        assert code == 2
+        assert "zero particles" in capsys.readouterr().err
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_unexpected_error_in_a_replica_exits_3(self, tmp_path, capsys,
+                                                   monkeypatch, four_cpus,
+                                                   threads):
+        def broken(*args, **kwargs):
+            raise RuntimeError("walks broke")
+
+        monkeypatch.setattr(lattice, "run_true", broken)
+        code, _ = run(tmp_path, "simulate", SIM_CFG, "--seeds", "3",
+                      "--threads", threads)
+        assert code == 3
+        assert "RuntimeError: walks broke" in capsys.readouterr().err
+        assert not multiprocessing.active_children()
+
+
 class TestHydroCompare:
     def test_small_run_reports_deviations(self, tmp_path):
         cfg = {"epsilon": 0.1, "kappa": 1.0, "horizon_T": 0.1, "seed": 2,
@@ -183,6 +272,15 @@ class TestHydroCompare:
             assert main(["hydro-compare", "--config", cfg_path, "--out",
                          str(out), "--seeds", "4", "--threads", threads]) == 0
             runs.append(json.loads((out / "report.json").read_text())["runs"])
+        assert runs[0] == runs[1]
+
+    def test_uneven_split_does_not_change_results(self, tmp_path, four_cpus):
+        cfg = {"epsilon": 0.05, "kappa": 1.0, "horizon_T": 0.1, "seed": 3,
+               "delta_ref": 0.02}
+        outs = reports_at(tmp_path, "hydro-compare", cfg, 5, 1, 3)
+        runs = [json.loads((out / "report.json").read_text())["runs"]
+                for out in outs]
+        assert [r["seed_index"] for r in runs[0]] == list(range(5))
         assert runs[0] == runs[1]
 
     def test_t_eval_past_the_horizon_is_a_config_error(self, tmp_path):

@@ -1,5 +1,7 @@
 """Microscopic event-driven simulation: sampling, flips, trajectories."""
 import math
+import multiprocessing
+import os
 from statistics import NormalDist
 
 import numpy as np
@@ -385,6 +387,45 @@ class TestTrajectory:
         assert lattice.in_X(3, 4, log, 2.0)
         left_log = EventLog(np.array([1.0]), np.array([LEFT]))
         assert not lattice.in_X(3, 4, left_log, 1.0)
+
+
+class TestReplicas:
+    @pytest.mark.parametrize("seed, rep", [(0, 0), (17, 3), (10**30, 1)])
+    def test_replica_rngs_are_the_spawned_substreams(self, seed, rep):
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(rep,))
+        expected = [np.random.default_rng(c).random(8) for c in ss.spawn(3)]
+        got = [g.random(8) for g in lattice.replica_rngs(seed, rep)]
+        assert all(map(np.array_equal, got, expected))
+
+    @pytest.mark.parametrize("cpus, threads, n_seeds, workers", [
+        (4, 10000, 10000, 4), (4, 3, 5, 3), (4, 8, 2, 2), (4, 1, 100, 1),
+        (4, 2, 0, 1), (1, 2, 10, 1)])
+    def test_worker_count_is_capped(self, monkeypatch, cpus, threads, n_seeds,
+                                    workers):
+        monkeypatch.setattr(lattice, "usable_cpus", lambda: cpus)
+        assert lattice.worker_count(threads, n_seeds) == workers
+
+    def test_usable_cpus_reads_the_affinity_mask(self):
+        if hasattr(os, "sched_getaffinity"):
+            assert lattice.usable_cpus() == len(os.sched_getaffinity(0))
+        assert lattice.usable_cpus() >= 1
+
+    def test_fan_out_keeps_rep_order(self, monkeypatch):
+        monkeypatch.setattr(lattice, "usable_cpus", lambda: 4)
+        rows = lattice.map_seeds(lambda rep: (rep, os.getpid()), 5, 3)
+        assert [rep for rep, _ in rows] == list(range(5))
+        # strided chunks: reps i, i + 3, ... run in one call of one worker
+        pids = [pid for _, pid in rows]
+        assert pids[0] == pids[3] and pids[1] == pids[4]
+        assert os.getpid() not in pids
+        assert not multiprocessing.active_children()
+
+    def test_without_fork_the_replicas_run_here(self, monkeypatch):
+        monkeypatch.setattr(lattice, "usable_cpus", lambda: 4)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        pids = lattice.map_seeds(lambda rep: os.getpid(), 3, 2)
+        assert pids == [os.getpid()] * 3
 
 
 class TestProfiles:
