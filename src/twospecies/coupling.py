@@ -290,32 +290,10 @@ def apply_C2(cs: CoupledState, mark: int, exchange_copy: int = 1) -> None:
 # balance identities
 
 
-@dataclass
-class BalanceStep:
-    phase: str
-    q: int
-    mark: int
-    n_pairs: int
-    n_singles: int
-    n_I: int
-    n_J: int
-    lhs: int
-    rhs: int
-    ok: bool
-
-
-@dataclass
-class BalanceReport:
-    ok: bool
-    steps: list[BalanceStep]
-    final_I: int
-    final_J: int
-    final_order_ok: bool
-    failure: str | None = None
-
-
 def marks_stay_in_X(h_a0: int, M: int, marks) -> bool:
-    """Both species survive every flip of the sequence."""
+    """Both species survive every flip of the sequence.  The initial tally
+    h_a0 is not checked, unlike `lattice.in_X`: from h_a0 = 0 a sequence
+    that starts with a left flip stays in X."""
     n_a = h_a0
     for mark in marks:
         n_a += 1 if mark == LEFT else -1
@@ -324,53 +302,44 @@ def marks_stay_in_X(h_a0: int, M: int, marks) -> bool:
     return True
 
 
-def _balance_history(cs: CoupledState, marks) -> BalanceReport:
+def _balance_history(cs: CoupledState, marks) -> str | None:
     """Run m copy-1 flips then m copy-2 flips from the discrepancy-free
-    splitting of cs, checking the splitting and the balance identity after
-    every step and the final emptiness of both discrepancy sets."""
-    m = len(marks)
-    steps: list[BalanceStep] = []
-    n_I = n_J = 0
+    splitting of cs and return the first failure, or None.
 
-    def record(phase: str, q: int, mark: int, n_r: int, n_l: int) -> bool:
+    After every flip the splitting must hold, and so must the balance
+    identity n_r - |I| = n_l - |J| >= 0, where n_r and n_l count the right
+    and left marks flipped on copy 1 but not yet on copy 2.  At the end I
+    and J must be empty and the final states ordered.
+    """
+    m = len(marks)
+    n_I = n_J = 0
+    for q in range(1, 2 * m + 1):
+        if q <= m:
+            phase, step, pending = "C1", q, marks[:q]
+            apply_C, mark = apply_C1, marks[q - 1]
+        else:
+            phase, step, pending = "C2", q - m, marks[q - m:]
+            apply_C, mark = apply_C2, marks[q - m - 1]
+        try:
+            apply_C(cs, mark)
+            check_splitting(cs)
+        except (CouplingError, SplittingFault) as exc:
+            return f"{phase} step {step}: {exc}"
         # each pair holds one (a,b) and one (b,a) label; the rest of the
         # (b,a) labels are I and the rest of the (a,b) labels are J
-        nonlocal n_I, n_J
         diff = (cs.sigma - cs.sigma_prime).tolist()
-        n_ba, n_ab, n_P = diff.count(1), diff.count(-1), len(cs.pairs)
-        n_I, n_J = n_ba - n_P, n_ab - n_P
-        lhs, rhs = n_r - n_I, n_l - n_J
-        ok = lhs == rhs and lhs >= 0
-        steps.append(BalanceStep(phase, q, mark, n_P, cs.M - n_ab - n_ba,
-                                 n_I, n_J, lhs, rhs, ok))
-        return ok
-
-    try:
-        for q in range(1, m + 1):
-            apply_C1(cs, marks[q - 1])
-            check_splitting(cs)
-            n_r = sum(1 for mk in marks[:q] if mk == RIGHT)
-            if not record("C1", q, marks[q - 1], n_r, q - n_r):
-                return BalanceReport(False, steps, n_I, n_J, False,
-                                     f"identity fails after C1 step {q}")
-        for q in range(1, m + 1):
-            apply_C2(cs, marks[q - 1])
-            check_splitting(cs)
-            n_r = sum(1 for mk in marks[q:] if mk == RIGHT)
-            if not record("C2", m + q, marks[q - 1], n_r, m - q - n_r):
-                return BalanceReport(False, steps, n_I, n_J, False,
-                                     f"identity fails after C2 step {q}")
-    except (CouplingError, SplittingFault) as exc:
-        return BalanceReport(False, steps, n_I, n_J, False, str(exc))
-
-    final_order = order_witness(cs.positions, cs.sigma_prime, cs.sigma)[0] == 0
-    ok = not n_I and not n_J and final_order
-    failure = None
+        n_I = diff.count(1) - len(cs.pairs)
+        n_J = diff.count(-1) - len(cs.pairs)
+        n_r = pending.count(RIGHT)
+        lhs, rhs = n_r - n_I, len(pending) - n_r - n_J
+        if not lhs == rhs >= 0:
+            return (f"identity fails after {phase} step {step}: |I|={n_I} "
+                    f"|J|={n_J}, n_r-|I|={lhs}, n_l-|J|={rhs}")
     if n_I or n_J:
-        failure = "discrepancies remain at the end"
-    elif not final_order:
-        failure = "final states not ordered"
-    return BalanceReport(ok, steps, n_I, n_J, final_order, failure)
+        return f"discrepancies remain at the end: |I|={n_I} |J|={n_J}"
+    if order_witness(cs.positions, cs.sigma_prime, cs.sigma)[0]:
+        return "final states not ordered"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -386,14 +355,8 @@ class ExhaustiveReport:
     first_failure: str | None = None
 
 
-def _mark_sequences(max_marks: int):
-    for m in range(max_marks + 1):
-        for bits in range(1 << m):
-            yield tuple(RIGHT if (bits >> p) & 1 else LEFT for p in range(m))
-
-
-def exhaustive_balance_check(max_particles: int = 4, n_sites: int = 4,
-                             max_marks: int = 3) -> ExhaustiveReport:
+def exhaustive_balance_check(max_particles: int, n_sites: int,
+                             max_marks: int) -> ExhaustiveReport:
     """Check the balance identities on every ordered coupled pair with
     matched a-counts (positions sorted WLOG: labels at equal sites are
     exchangeable) and every mark sequence, positions frozen.
@@ -403,6 +366,8 @@ def exhaustive_balance_check(max_particles: int = 4, n_sites: int = 4,
     """
     from itertools import combinations_with_replacement, product
 
+    sequences = [tuple(RIGHT if (bits >> p) & 1 else LEFT for p in range(m))
+                 for m in range(max_marks + 1) for bits in range(1 << m)]
     n_instances = n_runs = n_skipped = 0
     for M in range(1, max_particles + 1):
         colorings = [(s, np.array(s)) for s in product((A, B), repeat=M)]
@@ -418,16 +383,16 @@ def exhaustive_balance_check(max_particles: int = 4, n_sites: int = 4,
                     n_instances += 1
                     cs0 = CoupledState(positions, sigma_arr, sigma_p_arr)
                     build_splitting(cs0)
-                    for marks in _mark_sequences(max_marks):
+                    for marks in sequences:
                         if not marks_stay_in_X(h_a, M, marks):
                             n_skipped += 1
                             continue
-                        rep = _balance_history(cs0.copy(), list(marks))
+                        failure = _balance_history(cs0.copy(), marks)
                         n_runs += 1
-                        if not rep.ok:
+                        if failure is not None:
                             msg = (f"x={xs} sigma={_names(sigma, COLORS)} "
                                    f"sigma'={_names(sigma_p, COLORS)} "
-                                   f"marks={_names(marks, MARKS)}: {rep.failure}")
+                                   f"marks={_names(marks, MARKS)}: {failure}")
                             return ExhaustiveReport(False, n_instances, n_runs,
                                                     n_skipped, msg)
     return ExhaustiveReport(True, n_instances, n_runs, n_skipped)
@@ -565,9 +530,9 @@ def _sandwich_seed(cfg: SimConfig, profile: ProfilePair, K: int,
     violations: list[str] = []
     plus_colors = ps0.colors.copy()
     minus_colors = ps0.colors.copy()
+    true_k = traj.state_at(0.0)
     for k in range(K + 1):
         t_k = k * block_len
-        true_k = traj.state_at(t_k)
         n_a = np.count_nonzero(true_k.colors == A)
         if (np.count_nonzero(plus_colors == A) != n_a
                 or np.count_nonzero(minus_colors == A) != n_a):
@@ -593,16 +558,17 @@ def _sandwich_seed(cfg: SimConfig, profile: ProfilePair, K: int,
         except (CouplingError, SplittingFault) as exc:
             violations.append(f"seed {rep}, block {k}: {exc}")
             break
-        true_next = traj.state_at(t_next).colors
+        true_next = traj.state_at(t_next)
         if (cs_p.disc_I or cs_p.disc_J or cs_m.disc_I or cs_m.disc_J
-                or not np.array_equal(cs_p.sigma_prime, true_next)
-                or not np.array_equal(cs_m.sigma, true_next)):
+                or not np.array_equal(cs_p.sigma_prime, true_next.colors)
+                or not np.array_equal(cs_m.sigma, true_next.colors)):
             violations.append(
                 f"seed {rep}, block {k}: protocol left discrepancies "
                 "or lost track of the true run")
             break
         plus_colors = cs_p.sigma.copy()
         minus_colors = cs_m.sigma_prime.copy()
+        true_k = true_next
     return False, violations, counts_mismatch
 
 

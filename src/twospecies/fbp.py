@@ -414,8 +414,8 @@ def _side_data(sol: FbpSolution, side: str, t: float
 
 
 def mc_validate(sol: FbpSolution, t: float, n_paths: int,
-                rng: np.random.Generator, side: str = "u",
-                dt: float = 1e-4) -> McReport:
+                rng: np.random.Generator, side: str = "u", *,
+                dt: float) -> McReport:
     """Compare interval masses of the reference profile at time t with the
     path representation: surviving paths from the initial datum plus
     surviving paths injected at the partner's boundary at uniform times

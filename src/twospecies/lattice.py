@@ -440,7 +440,9 @@ def run_true(ps: ParticleState, log: EventLog, t_end: float,
 
 
 def in_X(h_a0: int, M: int, log: EventLog, t_end: float) -> bool:
-    """True iff both species stay present up to t_end (tally never hits 0 or M)."""
+    """True iff both species stay present up to t_end (tally never hits 0 or M).
+    The initial tally h_a0 counts too, unlike `coupling.marks_stay_in_X`:
+    h_a0 = 0 is never in X."""
     sel = log.times <= t_end
     signs = np.where(log.marks[sel] == LEFT, 1, -1)
     tally = h_a0 + np.concatenate([[0], np.cumsum(signs)])

@@ -337,7 +337,7 @@ class TestMcValidation:
     def test_bad_side_rejected(self, coarse_sol):
         with pytest.raises(FbpError):
             fbp.mc_validate(coarse_sol, 0.1, 10,
-                            np.random.default_rng(0), side="w")
+                            np.random.default_rng(0), side="w", dt=1e-4)
 
     def test_binomial_variance_clips_only_empty_and_full_counts(self):
         n = 10
