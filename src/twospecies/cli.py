@@ -143,6 +143,15 @@ def profile_from_config(cfg: dict) -> macro.ProfilePair:
                              macro.tent(grid, *spec["v_tent"]))
 
 
+def check_multiple(T: float, t_key: str, step: float, step_key: str) -> None:
+    """Exit 2, naming both keys, unless T is a whole number of steps."""
+    try:
+        macro.step_count(T, step)
+    except macro.ProfileError:
+        raise ConfigError(f"config key {t_key!r} {T} is not a multiple of "
+                          f"{step_key!r} {step}") from None
+
+
 def sim_config(cfg: dict) -> lattice.SimConfig:
     return lattice.SimConfig(epsilon=cfg["epsilon"], kappa=cfg["kappa"],
                              horizon_T=cfg["horizon_T"], seed=cfg["seed"])
@@ -197,47 +206,42 @@ def cmd_simulate(args, cfg: dict, out: Path) -> int:
 
 
 def cmd_couple_verify(args, cfg: dict, out: Path) -> int:
+    sand_cfg = cfg["sandwich"]
+    if sand_cfg is not None:
+        scfg = sim_config(sand_cfg)
+        check_multiple(scfg.horizon_T, "sandwich.horizon_T",
+                       sand_cfg["delta"], "sandwich.delta")
+    elif cfg["exhaustive"] is None:
+        raise ConfigError("couple-verify needs an 'exhaustive' or 'sandwich' block")
     report: dict = {}
     ok = True
     if cfg["exhaustive"] is not None:
         rep = coupling.exhaustive_balance_check(**cfg["exhaustive"])
         report["exhaustive"] = vars(rep)
         ok = ok and rep.ok
-    sand_cfg = cfg["sandwich"]
     if sand_cfg is not None:
-        srep = coupling.verify_sandwich(sim_config(sand_cfg),
-                                        profile_from_config(sand_cfg),
+        srep = coupling.verify_sandwich(scfg, profile_from_config(sand_cfg),
                                         sand_cfg["delta"], args.seeds,
                                         threads=args.threads)
         report["sandwich"] = srep.to_dict()
         ok = ok and srep.ok
-    if not report:
-        raise ConfigError("couple-verify needs an 'exhaustive' or 'sandwich' block")
     write_report(out, report)
     return 0 if ok else 1
 
 
 def cmd_barriers(args, cfg: dict, out: Path) -> int:
-    kappa, delta = cfg["kappa"], cfg["delta"]
-    p0 = profile_from_config(cfg)
-    n = macro.step_count(cfg["horizon_T"], delta)
-    try:
-        minus = macro.iterate_barriers(p0, delta, kappa, n, "minus")
-        plus = macro.iterate_barriers(p0, delta, kappa, n, "plus")
-    except macro.AnnihilationError as exc:
-        # a model outcome, not a usage error: reported like fbp's
-        write_report(out, {"n_steps": n, "annihilated": True,
-                           "error": str(exc)})
-        return 1
-    macro.profile_to_csv(minus[-1], out / "final_minus.csv")
-    macro.profile_to_csv(plus[-1], out / "final_plus.csv")
-    gap, r_at = macro.order_gap(minus[-1], plus[-1])
-    widths = [macro.l1_distance_u(a, b) for a, b in zip(minus, plus)]
+    check_multiple(cfg["horizon_T"], "horizon_T", cfg["delta"], "delta")
+    sol = fbp.solve_reference(profile_from_config(cfg), cfg["kappa"],
+                              cfg["horizon_T"], cfg["delta"])
+    lo, hi = sol.minus[-1], sol.plus[-1]
+    macro.profile_to_csv(lo, out / "final_minus.csv")
+    macro.profile_to_csv(hi, out / "final_plus.csv")
+    gap, r_at = macro.order_gap(lo, hi)
     ordered = gap <= 1e-9
     write_report(out, {
-        "n_steps": n,
+        "n_steps": len(sol.minus) - 1,
         "annihilated": False,
-        "bracket_widths": widths,
+        "bracket_widths": sol.bracket_widths.tolist(),
         "final_order_gap": gap,
         "final_order_gap_at": r_at,
         "ordered": ordered,
@@ -247,22 +251,20 @@ def cmd_barriers(args, cfg: dict, out: Path) -> int:
 
 def cmd_fbp(args, cfg: dict, out: Path) -> int:
     mc_cfg = cfg["mc"]
+    check_multiple(cfg["horizon_T"], "horizon_T", cfg["delta"], "delta")
     if mc_cfg is not None:
         if mc_cfg["t"] > cfg["horizon_T"]:
             raise ConfigError("config key 'mc.t' exceeds horizon_T "
                               f"{cfg['horizon_T']}")
-        try:
-            macro.step_count(mc_cfg["t"], mc_cfg["dt"])
-        except macro.ProfileError:
-            raise ConfigError(f"config key 'mc.dt' {mc_cfg['dt']} does not "
-                              f"divide mc.t {mc_cfg['t']}") from None
+        check_multiple(mc_cfg["t"], "mc.t", cfg["delta"], "delta")
+        check_multiple(mc_cfg["t"], "mc.t", mc_cfg["dt"], "mc.dt")
     sol = fbp.solve_reference(profile_from_config(cfg), cfg["kappa"],
                               cfg["horizon_T"], cfg["delta"])
     fbp.boundaries_to_csv(sol.boundaries, out / "boundaries.csv")
     macro.profile_to_csv(sol.minus[-1], out / "final_minus.csv")
     fbp.solution_summary_json(sol, out / "summary.json")
     report = {"summary": fbp.solution_summary(sol)}
-    ok = not sol.annihilated
+    ok = True
     if mc_cfg is not None:
         rng = np.random.default_rng(np.random.SeedSequence(mc_cfg["seed"]))
         checks = []
@@ -284,6 +286,8 @@ def cmd_hydro_compare(args, cfg: dict, out: Path) -> int:
     if t_eval > scfg.horizon_T:
         raise ConfigError(f"t_eval {t_eval} exceeds horizon_T {scfg.horizon_T}: "
                           "the clock rings only up to horizon_T")
+    check_multiple(t_eval, "horizon_T" if cfg["t_eval"] is None else "t_eval",
+                   cfg["delta_ref"], "delta_ref")
     sol = fbp.solve_reference(profile, scfg.kappa, t_eval, cfg["delta_ref"])
     ref = sol.profile_at(t_eval)
     rs = ref.grid.nodes()
@@ -363,7 +367,13 @@ def main(argv=None) -> int:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory: {exc}") from exc
-        status = COMMANDS[args.command](args, values, out)
+        try:
+            status = COMMANDS[args.command](args, values, out)
+        except macro.AnnihilationError as exc:
+            # a transfer exhausted a species: a model outcome, not a usage
+            # error, and the one report every subcommand gives for it
+            write_report(out, {"annihilated": True, "error": str(exc)})
+            status = 1
         write_manifest(out, args, cfg, t0)
         return status
     except (ConfigError, macro.ProfileError, lattice.SimulationError) as exc:

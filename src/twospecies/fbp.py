@@ -99,29 +99,39 @@ def extract_boundaries(profiles: list[ProfilePair], times: np.ndarray
 
 @dataclass
 class FbpSolution:
+    """The lower ('minus') and upper ('plus') barrier families at the stored
+    times; the boundaries and the bracket widths are views of them."""
+
     kappa: float
     delta: float
     times: np.ndarray
     minus: list[ProfilePair]
-    plus: list[ProfilePair] | None
-    boundaries: BoundaryCurves
-    bracket_widths: np.ndarray | None
-    annihilated: bool = False
+    plus: list[ProfilePair]
 
     def index_at(self, t: float) -> int:
-        k = int(round(t / self.delta))
-        if not 0 <= k < len(self.minus) or abs(k * self.delta - t) > 1e-9:
-            raise FbpError(f"time {t} is not a stored step (delta={self.delta})")
+        """Step of time t, under `macro.step_count`'s tolerance."""
+        k = _step_count(t, self.delta)
+        if k >= len(self.minus):
+            raise FbpError(f"time {t} is past the last stored step")
         return k
 
     def profile_at(self, t: float) -> ProfilePair:
-        """Midpoint of the two variants when both are stored, else the lower."""
+        """Midpoint of the two variants."""
         k = self.index_at(t)
         lo = self.minus[k]
-        if self.plus is None:
-            return lo
         hi = resample(self.plus[k], lo.grid)
         return ProfilePair(lo.grid, 0.5 * (lo.u + hi.u), 0.5 * (lo.v + hi.v))
+
+    @cached_property
+    def boundaries(self) -> BoundaryCurves:
+        """Support edges of the lower-variant profiles."""
+        return extract_boundaries(self.minus, self.times)
+
+    @cached_property
+    def bracket_widths(self) -> np.ndarray:
+        """L1 distance between the u components of the two variants."""
+        return np.array([l1_distance_u(lo, hi)
+                         for lo, hi in zip(self.minus, self.plus)])
 
     @cached_property
     def refined_boundaries(self) -> BoundaryCurves:
@@ -139,35 +149,14 @@ def _step_count(T: float, delta: float) -> int:
 
 def solve_reference(initial: ProfilePair, kappa: float, T: float, delta: float
                     ) -> FbpSolution:
-    """Run the barrier iterations up to T in steps of delta and package the
-    lower-variant boundaries and the two-sided bracket.
+    """Run the lower and upper barrier iterations up to T in steps of delta.
 
-    Stops early with `annihilated` set if a transfer would exhaust a species;
-    the bracket is then not stored.
+    A transfer that would exhaust a species raises `AnnihilationError`.
     """
-    from .macro import AnnihilationError, barrier_step
-
     n = _step_count(T, delta)
-    annihilated = False
-    minus = [initial]
-    try:
-        for _ in range(n):
-            minus.append(barrier_step(minus[-1], delta, kappa, "minus"))
-    except AnnihilationError:
-        annihilated = True
-    times = delta * np.arange(len(minus))
-    plus = None
-    widths = None
-    try:
-        plus = iterate_barriers(initial, delta, kappa, len(minus) - 1, "plus")
-    except AnnihilationError:
-        annihilated = True
-    if plus is not None:
-        widths = np.array([l1_distance_u(lo, hi)
-                           for lo, hi in zip(minus, plus)])
-    boundaries = extract_boundaries(minus, times)
-    return FbpSolution(kappa, delta, times, minus, plus, boundaries, widths,
-                       annihilated)
+    return FbpSolution(kappa, delta, delta * np.arange(n + 1),
+                       iterate_barriers(initial, delta, kappa, n, "minus"),
+                       iterate_barriers(initial, delta, kappa, n, "plus"))
 
 
 # ---------------------------------------------------------------------------
@@ -487,9 +476,9 @@ def solution_summary(sol: FbpSolution) -> dict:
         "kappa": sol.kappa,
         "delta": sol.delta,
         "n_steps": len(sol.minus) - 1,
-        "annihilated": sol.annihilated,
-        "final_bracket_width": (None if sol.bracket_widths is None
-                                 else float(sol.bracket_widths[-1])),
+        # a solve that exhausts a species raises instead of returning
+        "annihilated": False,
+        "final_bracket_width": float(sol.bracket_widths[-1]),
         "U_final": float(sol.boundaries.U[-1]),
         "V_final": float(sol.boundaries.V[-1]),
     }

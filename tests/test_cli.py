@@ -141,12 +141,43 @@ class TestBarriers:
         assert not report["annihilated"]
 
     def test_annihilation_is_a_violation(self, tmp_path):
-        # kappa * delta = 2 exceeds each species' unit mass at the first step
-        cfg = {"kappa": 40.0, "delta": 0.05, "horizon_T": 0.5}
+        # kappa * delta = 2 exceeds each species' unit mass at the first
+        # step: every subcommand gives the one annihilation report
+        macro_cfg = {"kappa": 200, "delta": 0.01, "horizon_T": 0.5}
+        for i, (command, cfg) in enumerate([
+                ("barriers", {"kappa": 40.0, "delta": 0.05, "horizon_T": 0.5}),
+                ("barriers", macro_cfg),
+                ("fbp", macro_cfg),
+                ("fbp", dict(macro_cfg, mc={"t": 0.4, "n_paths": 200,
+                                            "dt": 0.01})),
+                ("hydro-compare", dict(SIM_CFG, kappa=200, horizon_T=0.5))]):
+            (tmp_path / str(i)).mkdir()
+            code, out = run(tmp_path / str(i), command, cfg)
+            assert code == 1, (command, cfg)
+            report = json.loads((out / "report.json").read_text())
+            assert report.keys() == {"annihilated", "error"}
+            assert report["annihilated"]
+            assert not list(out.glob("*.csv"))
+            assert (out / "manifest.json").exists()
+
+    def test_final_width_is_the_fbp_summary_width(self, tmp_path):
+        cfg = {"kappa": 0.5, "delta": 0.02, "horizon_T": 0.1}
+        (_, out_b), (_, out_f) = (run(tmp_path, c, cfg)
+                                  for c in ("barriers", "fbp"))
+        widths = json.loads((out_b / "report.json").read_text())["bracket_widths"]
+        summary = json.loads((out_f / "summary.json").read_text())
+        assert widths[-1] == summary["final_bracket_width"]
+
+    def test_separated_tents_need_no_boundaries(self, tmp_path):
+        # the supports never overlap, so no boundary pair can be read off;
+        # barriers reports the bracket without one
+        profile = dict(TENT_PROFILE, u_tent=[-1.0, 0.0, 1.0],
+                       v_tent=[0.5, 1.5, 1.0])
+        cfg = {"kappa": 0.5, "delta": 0.02, "horizon_T": 0.1,
+               "profile": profile}
         code, out = run(tmp_path, "barriers", cfg)
-        assert code == 1
-        report = json.loads((out / "report.json").read_text())
-        assert report["annihilated"]
+        assert code == 0
+        assert json.loads((out / "report.json").read_text())["ordered"]
 
 
 class TestFbp:
@@ -161,6 +192,13 @@ class TestFbp:
         report = json.loads((out / "report.json").read_text())
         assert report["summary"]["n_steps"] == 10
         assert {c["side"] for c in report["mc"]} == {"u", "v"}
+
+    def test_mc_time_that_passes_the_check_is_a_stored_step(self, tmp_path):
+        # 2e-9 off step 6: inside step_count's tolerance, 1e-9 * mc.t
+        cfg = {"kappa": 0.5, "delta": 0.5, "horizon_T": 4.0,
+               "mc": {"t": 3.000000002, "n_paths": 50, "dt": 0.5}}
+        code, _ = run(tmp_path, "fbp", cfg)
+        assert code == 0
 
     def test_interval_without_paths_keeps_a_standard_error(self, tmp_path):
         # at t 0 some interval can hold no path at all; its plug-in variance
@@ -408,6 +446,34 @@ class TestUsageErrors:
         assert err.startswith("error:") and "'mc.dt'" in err
         # rejected before the reference solve writes anything
         assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("command, cfg, keys", [
+        ("barriers", {"kappa": 0.5, "delta": 0.03, "horizon_T": 0.1},
+         ("horizon_T", "delta")),
+        ("fbp", {"kappa": 0.5, "delta": 0.01, "horizon_T": 0.1,
+                 "mc": {"t": 0.055, "n_paths": 200, "dt": 0.005}},
+         ("mc.t", "delta")),
+        ("couple-verify", {"exhaustive": {},
+                           "sandwich": dict(SIM_CFG, horizon_T=1.0, delta=0.3)},
+         ("sandwich.horizon_T", "sandwich.delta")),
+        ("hydro-compare", dict(SIM_CFG, horizon_T=0.1, t_eval=0.055),
+         ("t_eval", "delta_ref")),
+        ("hydro-compare", dict(SIM_CFG, horizon_T=0.055),
+         ("horizon_T", "delta_ref")),
+    ])
+    def test_time_that_is_no_multiple_is_named_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command, cfg, keys):
+        def work(*args, **kwargs):
+            raise RuntimeError("work started")
+
+        monkeypatch.setattr(cli.fbp, "solve_reference", work)
+        monkeypatch.setattr(coupling, "exhaustive_balance_check", work)
+        code, out = run(tmp_path, command, cfg)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "is not a multiple of" in err
+        assert all(f"'{key}'" in err for key in keys)
+        assert not any(out.iterdir())
 
     @pytest.mark.parametrize("command", ["barriers", "fbp"])
     def test_negative_kappa_is_named(self, tmp_path, capsys, command):

@@ -68,8 +68,9 @@ class TestSolution:
         lo = coarse_sol.minus[5]
         hi = macro.resample(coarse_sol.plus[5], lo.grid)
         assert np.allclose(mid.u, 0.5 * (lo.u + hi.u))
-        with pytest.raises(FbpError):
-            coarse_sol.index_at(0.0503)
+        for t in (0.0503, 0.11, -0.01):
+            with pytest.raises(FbpError):
+                coarse_sol.index_at(t)
         with pytest.raises(FbpError):
             fbp.solve_reference(macro.tent_pair(), 0.5, 0.105, 0.01)
 
