@@ -239,7 +239,7 @@ def cmd_barriers(args, cfg: dict, out: Path) -> int:
     gap, r_at = macro.order_gap(lo, hi)
     ordered = gap <= 1e-9
     write_report(out, {
-        "n_steps": len(sol.minus) - 1,
+        "n_steps": len(sol.times) - 1,
         "annihilated": False,
         "bracket_widths": sol.bracket_widths.tolist(),
         "final_order_gap": gap,
@@ -258,8 +258,12 @@ def cmd_fbp(args, cfg: dict, out: Path) -> int:
                               f"{cfg['horizon_T']}")
         check_multiple(mc_cfg["t"], "mc.t", cfg["delta"], "delta")
         check_multiple(mc_cfg["t"], "mc.t", mc_cfg["dt"], "mc.dt")
-    sol = fbp.solve_reference(profile_from_config(cfg), cfg["kappa"],
-                              cfg["horizon_T"], cfg["delta"])
+    initial = profile_from_config(cfg)
+    # the t = 0 boundaries, checked before any barrier step
+    fbp.extract_boundaries([0.0], [fbp.support_edges(initial)])
+    sol = fbp.solve_reference(initial, cfg["kappa"], cfg["horizon_T"],
+                              cfg["delta"],
+                              keep=() if mc_cfg is None else (mc_cfg["t"],))
     fbp.boundaries_to_csv(sol.boundaries, out / "boundaries.csv")
     macro.profile_to_csv(sol.minus[-1], out / "final_minus.csv")
     fbp.solution_summary_json(sol, out / "summary.json")
@@ -288,6 +292,7 @@ def cmd_hydro_compare(args, cfg: dict, out: Path) -> int:
                           "the clock rings only up to horizon_T")
     check_multiple(t_eval, "horizon_T" if cfg["t_eval"] is None else "t_eval",
                    cfg["delta_ref"], "delta_ref")
+    lattice.check_class_U(profile)
     sol = fbp.solve_reference(profile, scfg.kappa, t_eval, cfg["delta_ref"])
     ref = sol.profile_at(t_eval)
     rs = ref.grid.nodes()

@@ -19,6 +19,9 @@ from functools import cached_property
 
 import numpy as np
 
+from . import macro
+# iterate_barriers is not called here; it stays importable as
+# fbp.iterate_barriers, a binding the bench tracer replaces by name
 from .macro import (GridSpec, ProfileError, ProfilePair, iterate_barriers,
                     l1_distance_u, node_weights, resample, step_count,
                     tail_integral)
@@ -60,37 +63,67 @@ class BoundaryCurves:
 
 
 def _right_edge(f: np.ndarray, grid: GridSpec, thr: float) -> float:
-    """Rightmost threshold crossing of f, linearly interpolated."""
+    """Rightmost threshold crossing of f, linearly interpolated; NaN when f
+    never exceeds thr."""
     idx = np.nonzero(f > thr)[0]
     if len(idx) == 0:
-        raise FbpError("empty support while extracting a boundary")
+        return math.nan
     j = int(idx[-1])
-    nodes = grid.nodes()
+    node = grid.r_min + grid.h * j  # grid.nodes()[j], bit for bit
     if j == grid.n_nodes - 1:
-        return float(nodes[j])
+        return node
     lam = (f[j] - thr) / max(f[j] - f[j + 1], 1e-300)
-    return float(nodes[j] + lam * grid.h)
+    return float(node + lam * grid.h)
 
 
-def extract_boundaries(profiles: list[ProfilePair], times: np.ndarray
-                       ) -> BoundaryCurves:
-    """Support edges of the sharp (lower-variant) profiles at each time.
+def support_edges(p: ProfilePair) -> tuple[float, float]:
+    """Unchecked support edges (U, V) of a pair: U is where u last exceeds
+    EDGE_FRAC times the pair's peak, V where v first does (U of the
+    mirror); NaN for an empty support."""
+    peak = max(float(p.u.max(initial=0.0)), float(p.v.max(initial=0.0)))
+    thr = EDGE_FRAC * peak
+    return (_right_edge(p.u, p.grid, thr),
+            -_right_edge(p.v[::-1], p.grid.mirrored(), thr))
 
-    U_t is where u last exceeds EDGE_FRAC times the pair's peak, V_t where v
-    first does (U_t of the mirror).  The overlap ordering V_t < U_t is
-    enforced.
+
+def extract_boundaries(times, edges) -> BoundaryCurves:
+    """Boundary curves from the `support_edges` (U_t, V_t) at each time.
+
+    An empty support or crossed edges (V_t >= U_t) raise at the first time
+    they occur.
     """
-    U = np.empty(len(profiles))
-    V = np.empty(len(profiles))
-    for k, p in enumerate(profiles):
-        peak = max(float(p.u.max(initial=0.0)), float(p.v.max(initial=0.0)))
-        thr = EDGE_FRAC * peak
-        U[k] = _right_edge(p.u, p.grid, thr)
-        V[k] = -_right_edge(p.v[::-1], p.grid.mirrored(), thr)
-        if not V[k] < U[k]:
-            raise FbpError(f"boundaries crossed at t={times[k]}: "
-                           f"V={V[k]} >= U={U[k]}")
-    return BoundaryCurves(np.asarray(times, float), U, V)
+    times = np.asarray(times, float)
+    edges = np.asarray(edges, float)
+    U, V = edges[:, 0].copy(), edges[:, 1].copy()
+    bad = ~(V < U)
+    if bad.any():
+        k = int(bad.argmax())
+        if math.isnan(U[k]) or math.isnan(V[k]):
+            raise FbpError("empty support while extracting a boundary")
+        raise FbpError(f"boundaries crossed at t={times[k]}: "
+                       f"V={V[k]} >= U={U[k]}")
+    return BoundaryCurves(times, U, V)
+
+
+def _edge_window(f: np.ndarray, grid: GridSpec, edge: float) -> np.ndarray:
+    """Nodes (row 0) and samples (row 1) of the _FIT_CELLS cells of f that
+    end _FIT_SKIP cells inside its right edge: a fresh (2, _FIT_CELLS + 1)
+    array, NaN when the grid leaves no room for the fit."""
+    hi = int(math.floor((edge - grid.r_min) / grid.h)) - _FIT_SKIP
+    lo = hi - _FIT_CELLS
+    if lo < 0:
+        return np.full((2, _FIT_CELLS + 1), math.nan)
+    # the nodes are grid.nodes()[lo:hi + 1], bit for bit
+    return np.stack([grid.r_min + grid.h * np.arange(lo, hi + 1),
+                     f[lo:hi + 1]])
+
+
+def _edge_line(window: np.ndarray) -> np.ndarray | None:
+    """(slope, intercept) of the least-squares line through an
+    `_edge_window`, or None for a NaN one."""
+    if math.isnan(window[0, 0]):
+        return None
+    return np.polyfit(window[0], window[1], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -99,39 +132,51 @@ def extract_boundaries(profiles: list[ProfilePair], times: np.ndarray
 
 @dataclass
 class FbpSolution:
-    """The lower ('minus') and upper ('plus') barrier families at the stored
-    times; the boundaries and the bracket widths are views of them."""
+    """The lower ('minus') and upper ('plus') barrier families, recorded
+    step by step.
+
+    Every step keeps the bracket width, the unchecked support edges of the
+    lower variant and its near-edge fit windows; whole pairs are kept only
+    at the steps in `kept` (0, the last step and the requested times).  The
+    boundaries, the refined boundaries and the fluxes are views of the
+    record.
+    """
 
     kappa: float
     delta: float
     times: np.ndarray
+    kept: list[int]
     minus: list[ProfilePair]
     plus: list[ProfilePair]
+    # L1 distance between the u components of the two variants
+    bracket_widths: np.ndarray
+    # edges[k] = support_edges(minus at step k)
+    edges: np.ndarray
+    # windows[k, 0] = u's `_edge_window` at U, windows[k, 1] the mirrored
+    # v's at -V, in the lower variant at step k
+    windows: np.ndarray
 
     def index_at(self, t: float) -> int:
         """Step of time t, under `macro.step_count`'s tolerance."""
         k = _step_count(t, self.delta)
-        if k >= len(self.minus):
+        if k >= len(self.times):
             raise FbpError(f"time {t} is past the last stored step")
         return k
 
     def profile_at(self, t: float) -> ProfilePair:
-        """Midpoint of the two variants."""
+        """Midpoint of the two variants at a kept time."""
         k = self.index_at(t)
-        lo = self.minus[k]
-        hi = resample(self.plus[k], lo.grid)
+        if k not in self.kept:
+            raise FbpError(f"time {t} was not kept by the solve")
+        i = self.kept.index(k)
+        lo = self.minus[i]
+        hi = resample(self.plus[i], lo.grid)
         return ProfilePair(lo.grid, 0.5 * (lo.u + hi.u), 0.5 * (lo.v + hi.v))
 
     @cached_property
     def boundaries(self) -> BoundaryCurves:
         """Support edges of the lower-variant profiles."""
-        return extract_boundaries(self.minus, self.times)
-
-    @cached_property
-    def bracket_widths(self) -> np.ndarray:
-        """L1 distance between the u components of the two variants."""
-        return np.array([l1_distance_u(lo, hi)
-                         for lo, hi in zip(self.minus, self.plus)])
+        return extract_boundaries(self.times, self.edges)
 
     @cached_property
     def refined_boundaries(self) -> BoundaryCurves:
@@ -147,62 +192,83 @@ def _step_count(T: float, delta: float) -> int:
         raise FbpError(str(exc)) from None
 
 
-def solve_reference(initial: ProfilePair, kappa: float, T: float, delta: float
-                    ) -> FbpSolution:
-    """Run the lower and upper barrier iterations up to T in steps of delta.
+def solve_reference(initial: ProfilePair, kappa: float, T: float, delta: float,
+                    keep=()) -> FbpSolution:
+    """Run the lower and upper barrier iterations up to T in steps of delta,
+    in lockstep, lower first.
 
-    A transfer that would exhaust a species raises `AnnihilationError`.
+    Each step is recorded as `FbpSolution` says; the pairs at 0, at T and
+    at the times in `keep` (multiples of delta up to T) are kept whole.  A
+    transfer that would exhaust a species raises `AnnihilationError`.
     """
     n = _step_count(T, delta)
-    return FbpSolution(kappa, delta, delta * np.arange(n + 1),
-                       iterate_barriers(initial, delta, kappa, n, "minus"),
-                       iterate_barriers(initial, delta, kappa, n, "plus"))
+    steps = {0, n}
+    for t in keep:
+        k = _step_count(t, delta)
+        if k > n:
+            raise FbpError(f"time {t} to keep is past T={T}")
+        steps.add(k)
+    kept = sorted(steps)
+    widths = np.empty(n + 1)
+    edges = np.empty((n + 1, 2))
+    windows = np.full((n + 1, 2, 2, _FIT_CELLS + 1), math.nan)
+    minus, plus = [], []
+    lo = hi = initial
+    for k in range(n + 1):
+        if k:
+            lo = macro.barrier_step(lo, delta, kappa, "minus")
+            hi = macro.barrier_step(hi, delta, kappa, "plus")
+        widths[k] = l1_distance_u(lo, hi)
+        U, V = support_edges(lo)
+        edges[k] = U, V
+        if not math.isnan(U):
+            windows[k, 0] = _edge_window(lo.u, lo.grid, U)
+        if not math.isnan(V):
+            windows[k, 1] = _edge_window(lo.v[::-1], lo.grid.mirrored(), -V)
+        if k in kept:
+            minus.append(lo)
+            plus.append(hi)
+    return FbpSolution(kappa, delta, delta * np.arange(n + 1), kept, minus,
+                       plus, widths, edges, windows)
 
 
 # ---------------------------------------------------------------------------
 # boundary flux
 
 
-def _edge_line(f: np.ndarray, grid: GridSpec, edge: float
-               ) -> np.ndarray | None:
-    """(slope, intercept) of the least-squares line through f near its right
-    edge, or None when the grid leaves no room for the fit."""
-    hi = int(math.floor((edge - grid.r_min) / grid.h)) - _FIT_SKIP
-    lo = hi - _FIT_CELLS
-    if lo < 0:
-        return None
-    return np.polyfit(grid.nodes()[lo:hi + 1], f[lo:hi + 1], 1)
+def _window_flux(window: np.ndarray) -> float:
+    """Outward flux -f_r/2 from the near-edge line of an `_edge_window`."""
+    line = _edge_line(window)
+    if line is None:
+        raise FbpError("not enough interior nodes for the flux fit")
+    return -0.5 * float(line[0])
 
 
 def boundary_flux_u(p: ProfilePair, U_r: float) -> float:
     """Outward flux -u_r/2 at u's right edge U_r, from the near-edge line;
     v's flux v_r/2 at V_r is boundary_flux_u(p.mirrored(), -V_r)."""
-    line = _edge_line(p.u, p.grid, U_r)
-    if line is None:
-        raise FbpError("not enough interior nodes for the flux fit")
-    return -0.5 * float(line[0])
+    return _window_flux(_edge_window(p.u, p.grid, U_r))
 
 
 def flux_series(sol: FbpSolution, t_lo: float, t_hi: float
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Boundary fluxes of u and v from the lower-variant profiles at every
     stored step in [t_lo, t_hi]."""
-    sel = (sol.times >= t_lo - 1e-12) & (sol.times <= t_hi + 1e-12)
-    ts = sol.times[sel]
+    bd = sol.boundaries
+    sel = (bd.times >= t_lo - 1e-12) & (bd.times <= t_hi + 1e-12)
+    ts = bd.times[sel]
     fu = np.empty(len(ts))
     fv = np.empty(len(ts))
     for out_i, k in enumerate(np.nonzero(sel)[0]):
-        p = sol.minus[k]
-        fu[out_i] = boundary_flux_u(p, sol.boundaries.U[k])
-        fv[out_i] = boundary_flux_u(p.mirrored(), -sol.boundaries.V[k])
+        fu[out_i] = _window_flux(sol.windows[k, 0])
+        fv[out_i] = _window_flux(sol.windows[k, 1])
     return ts, fu, fv
 
 
-def _extrapolated_right_zero(f: np.ndarray, grid: GridSpec,
-                             edge: float) -> float:
+def _extrapolated_right_zero(window: np.ndarray, edge: float) -> float:
     """Zero crossing of the near-edge line, clamped to lie at or beyond the
     support edge."""
-    line = _edge_line(f, grid, edge)
+    line = _edge_line(window)
     if line is None or line[0] >= 0:
         return edge
     slope, icept = line
@@ -220,9 +286,9 @@ def refined_boundary_curves(sol: FbpSolution) -> BoundaryCurves:
     bd = sol.boundaries
     U = np.empty_like(bd.U)
     V = np.empty_like(bd.V)
-    for k, p in enumerate(sol.minus):
-        U[k] = _extrapolated_right_zero(p.u, p.grid, bd.U[k])
-        V[k] = -_extrapolated_right_zero(p.v[::-1], p.grid.mirrored(), -bd.V[k])
+    for k in range(len(bd.times)):
+        U[k] = _extrapolated_right_zero(sol.windows[k, 0], bd.U[k])
+        V[k] = -_extrapolated_right_zero(sol.windows[k, 1], -bd.V[k])
     return BoundaryCurves(bd.times.copy(), U, V)
 
 
@@ -475,7 +541,7 @@ def solution_summary(sol: FbpSolution) -> dict:
     return {
         "kappa": sol.kappa,
         "delta": sol.delta,
-        "n_steps": len(sol.minus) - 1,
+        "n_steps": len(sol.times) - 1,
         # a solve that exhausts a species raises instead of returning
         "annihilated": False,
         "final_bracket_width": float(sol.bracket_widths[-1]),

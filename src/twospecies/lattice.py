@@ -22,6 +22,9 @@ A, B = 0, 1
 RIGHT, LEFT = 0, 1
 COLORS = ("a", "b")
 MARKS = ("right", "left")
+# rank_select loops over fewer particles than this and uses numpy from here
+# on, where the loop's per-particle cost overtakes numpy's per-call cost
+RANK_VECTOR_MIN = 64
 
 
 class SimulationError(ValueError):
@@ -129,13 +132,18 @@ class EventLog:
 # sampling
 
 
+def check_class_U(profile: ProfilePair) -> None:
+    """Raise SimulationError unless the profile is a class-U initial datum."""
+    report = validate_class_U(profile)
+    if not report.valid:
+        raise SimulationError("initial profile is invalid: " + "; ".join(report.violations))
+
+
 def sample_initial(profile: ProfilePair, cfg: SimConfig,
                    rng: np.random.Generator) -> ParticleState:
     """Draw floor(eps^-1 * total mass) particles with site weights
     u(eps*x) + v(eps*x) and independent colors a w.p. u/(u+v)."""
-    report = validate_class_U(profile)
-    if not report.valid:
-        raise SimulationError("initial profile is invalid: " + "; ".join(report.violations))
+    check_class_U(profile)
     eps = cfg.epsilon
     M = int(np.floor(profile.total_mass / eps))
     if M < 1:
@@ -370,11 +378,30 @@ def rank_select(positions: np.ndarray, colors: np.ndarray, mark: int) -> int | N
     else:
         raise SimulationError(f"mark must be {RIGHT} ('right') or {LEFT} "
                               f"('left'), got {mark!r}")
+    if len(positions) < RANK_VECTOR_MIN:
+        return _rank_loop(positions, colors, color, sign)
+    return _rank_vector(positions, colors, color, sign)
+
+
+def _rank_loop(positions: np.ndarray, colors: np.ndarray, color: int,
+               sign: int) -> int | None:
+    """`rank_select` as one pass over the particles."""
     best = None
     for i, (x, c) in enumerate(zip(positions.tolist(), colors.tolist())):
         if c == color and (best is None or (sign * x, i) > best):
             best = (sign * x, i)
     return None if best is None else best[1] + 1
+
+
+def _rank_vector(positions: np.ndarray, colors: np.ndarray, color: int,
+                 sign: int) -> int | None:
+    """`rank_select` in numpy: the largest sign * position among the
+    species, the last of its ties found by argmax on the reversed keys."""
+    labels = np.flatnonzero(colors == color)
+    if len(labels) == 0:
+        return None
+    keys = sign * positions[labels]
+    return int(labels[len(keys) - 1 - int(keys[::-1].argmax())]) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from twospecies import cli, coupling, lattice
+from twospecies import cli, coupling, lattice, macro
 from twospecies.cli import main
 
 
@@ -474,6 +474,27 @@ class TestUsageErrors:
         assert err.startswith("error:") and "is not a multiple of" in err
         assert all(f"'{key}'" in err for key in keys)
         assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("command, cfg, message", [
+        ("fbp", {"kappa": 0.5, "delta": 0.02, "horizon_T": 0.1},
+         "error: boundaries crossed at t=0.0: V=0.5000005 >= "
+         "U=-5.000000000091737e-07"),
+        ("hydro-compare", dict(SIM_CFG, horizon_T=0.1, delta_ref=0.02),
+         "error: initial profile is invalid: support ordering violated: "
+         "L=-1.0, D=0.5, R=0.0, E=1.5"),
+    ], ids=["fbp", "hydro-compare"])
+    def test_separated_tents_are_rejected_before_any_barrier_step(
+            self, tmp_path, capsys, monkeypatch, command, cfg, message):
+        steps = []
+        step = macro.barrier_step
+        monkeypatch.setattr(macro, "barrier_step",
+                            lambda *a, **k: steps.append(a) or step(*a, **k))
+        profile = dict(TENT_PROFILE, u_tent=[-1.0, 0.0, 1.0],
+                       v_tent=[0.5, 1.5, 1.0])
+        code, _ = run(tmp_path, command, dict(cfg, profile=profile))
+        assert code == 2
+        assert capsys.readouterr().err.strip() == message
+        assert steps == []
 
     @pytest.mark.parametrize("command", ["barriers", "fbp"])
     def test_negative_kappa_is_named(self, tmp_path, capsys, command):

@@ -14,9 +14,11 @@ from conftest import random_class_u_pair
 
 @pytest.fixture(scope="module")
 def coarse_sol():
-    """Both-variant bracket at kappa = 1/2 up to t = 0.1, shared across the
-    module since the solve is the expensive part."""
-    return fbp.solve_reference(macro.tent_pair(), 0.5, 0.1, 0.01)
+    """Both-variant bracket at kappa = 1/2 up to t = 0.1 with the pairs of
+    every step kept, shared across the module since the solve is the
+    expensive part."""
+    return fbp.solve_reference(macro.tent_pair(), 0.5, 0.1, 0.01,
+                               keep=0.01 * np.arange(11))
 
 
 class TestSolution:
@@ -78,8 +80,95 @@ class TestSolution:
         grid = GridSpec(-2.0, 2.0, 400)
         p = ProfilePair(grid, macro.tent(grid, -1.0, -0.5),
                         macro.tent(grid, 0.5, 1.0))
+        with pytest.raises(FbpError, match="boundaries crossed at t=0.0"):
+            fbp.extract_boundaries([0.0], [fbp.support_edges(p)])
+        empty = ProfilePair(grid, np.zeros(grid.n_nodes), p.v)
+        with pytest.raises(FbpError, match="empty support"):
+            fbp.extract_boundaries([0.0], [fbp.support_edges(empty)])
+
+
+def right_edge(f, grid, thr):
+    """Rightmost threshold crossing of f, read off grid.nodes()."""
+    j = int(np.nonzero(f > thr)[0][-1])
+    nodes = grid.nodes()
+    if j == grid.n_nodes - 1:
+        return float(nodes[j])
+    lam = (f[j] - thr) / max(f[j] - f[j + 1], 1e-300)
+    return float(nodes[j] + lam * grid.h)
+
+
+def edge_line(f, grid, edge):
+    """The near-edge line fitted on the whole profile: the oracle for the
+    solve's stored windows."""
+    hi = int(math.floor((edge - grid.r_min) / grid.h)) - fbp._FIT_SKIP
+    lo = hi - fbp._FIT_CELLS
+    return np.polyfit(grid.nodes()[lo:hi + 1], f[lo:hi + 1], 1)
+
+
+def refined_edge(f, grid, edge):
+    slope, icept = edge_line(f, grid, edge)
+    if slope >= 0:
+        return edge
+    return min(max(edge, float(-icept / slope)), edge + 0.5)
+
+
+def solution_bytes(sol):
+    """Bytes of every array the solution holds."""
+    arrays = [a for fam in (sol.minus, sol.plus) for p in fam
+              for a in (p.u, p.v)]
+    arrays += [v for v in vars(sol).values() if isinstance(v, np.ndarray)]
+    return sum(a.nbytes for a in arrays)
+
+
+class TestStreamedRecord:
+    def test_record_is_a_recomputation_from_the_families(self, coarse_sol):
+        p0, n = macro.tent_pair(), 10
+        minus = macro.iterate_barriers(p0, 0.01, 0.5, n, "minus")
+        plus = macro.iterate_barriers(p0, 0.01, 0.5, n, "plus")
+        assert coarse_sol.kept == list(range(n + 1))
+        for fam, ref in ((coarse_sol.minus, minus), (coarse_sol.plus, plus)):
+            for p, q in zip(fam, ref, strict=True):
+                assert p.grid == q.grid
+                assert np.array_equal(p.u, q.u) and np.array_equal(p.v, q.v)
+        widths = [macro.l1_distance_u(lo, hi) for lo, hi in zip(minus, plus)]
+        assert np.array_equal(coarse_sol.bracket_widths, widths)
+        bd, refined = coarse_sol.boundaries, coarse_sol.refined_boundaries
+        _, fu, fv = fbp.flux_series(coarse_sol, 0.0, 0.1)
+        for k, p in enumerate(minus):
+            thr = fbp.EDGE_FRAC * max(p.u.max(), p.v.max())
+            U = right_edge(p.u, p.grid, thr)
+            V = -right_edge(p.v[::-1], p.grid.mirrored(), thr)
+            assert (bd.U[k], bd.V[k]) == (U, V)
+            assert refined.U[k] == refined_edge(p.u, p.grid, U)
+            assert refined.V[k] == -refined_edge(p.v[::-1], p.grid.mirrored(),
+                                                 -V)
+            assert fu[k] == -0.5 * edge_line(p.u, p.grid, U)[0]
+            assert fv[k] == -0.5 * edge_line(p.v[::-1], p.grid.mirrored(),
+                                             -V)[0]
+
+    def test_kept_bytes_do_not_grow_with_the_step_count(self):
+        coarse, fine = (fbp.solve_reference(macro.tent_pair(), 0.5, 0.1, d)
+                        for d in (0.02, 0.005))
+        assert len(coarse.minus) == len(fine.minus) == 2
+        assert solution_bytes(fine) <= 1.1 * solution_bytes(coarse)
+        every = fbp.solve_reference(macro.tent_pair(), 0.5, 0.1, 0.005,
+                                    keep=0.005 * np.arange(21))
+        assert solution_bytes(every) > 5 * solution_bytes(fine)
+
+    def test_profile_at_an_unkept_time_raises(self, coarse_sol):
+        sol = fbp.solve_reference(macro.tent_pair(), 0.5, 0.1, 0.01,
+                                  keep=(0.05,))
+        assert sol.kept == [0, 5, 10]
+        for t in (0.0, 0.05, 0.1):
+            mid, ref = sol.profile_at(t), coarse_sol.profile_at(t)
+            assert np.array_equal(mid.u, ref.u) and np.array_equal(mid.v, ref.v)
+        with pytest.raises(FbpError, match="not kept"):
+            sol.profile_at(0.03)
+
+    @pytest.mark.parametrize("keep", [(0.11,), (0.055,), (-0.01,)])
+    def test_time_to_keep_off_the_steps_is_rejected(self, keep):
         with pytest.raises(FbpError):
-            fbp.extract_boundaries([p], np.array([0.0]))
+            fbp.solve_reference(macro.tent_pair(), 0.5, 0.1, 0.01, keep=keep)
 
 
 def left_edge(f, grid, thr):
@@ -105,7 +194,8 @@ class TestMirror:
     def test_left_edge_is_the_mirrored_right_edge(self, coarse_sol, rng):
         pairs = list(coarse_sol.minus)
         pairs += [random_class_u_pair(rng) for _ in range(20)]
-        bd = fbp.extract_boundaries(pairs, np.arange(len(pairs), dtype=float))
+        bd = fbp.extract_boundaries(np.arange(len(pairs)),
+                                    [fbp.support_edges(p) for p in pairs])
         for p, V in zip(pairs, bd.V):
             thr = fbp.EDGE_FRAC * max(p.u.max(), p.v.max())
             assert abs(V - left_edge(p.v, p.grid, thr)) <= 1e-12

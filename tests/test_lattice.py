@@ -152,6 +152,22 @@ class TestRankSelection:
         ps = ParticleState(np.array([0, 1]), np.array([A, A]))
         assert lattice.rank_select(ps.positions, ps.colors, LEFT) is None
 
+    @pytest.mark.parametrize("M", [1, 5, lattice.RANK_VECTOR_MIN - 1,
+                                   lattice.RANK_VECTOR_MIN,
+                                   lattice.RANK_VECTOR_MIN + 1, 400])
+    def test_vector_branch_matches_the_loop(self, M):
+        # few sites force ties; a species is absent in some draws
+        rng = np.random.default_rng(M)
+        for _ in range(200):
+            positions = rng.integers(-3, 4, M)
+            colors = (rng.random(M) < rng.choice([0.0, 0.1, 0.5, 1.0])
+                      ).astype(np.int8)
+            for mark, (color, sign) in ((RIGHT, (A, 1)), (LEFT, (B, -1))):
+                want = lattice._rank_loop(positions, colors, color, sign)
+                assert lattice._rank_vector(positions, colors, color,
+                                            sign) == want
+                assert lattice.rank_select(positions, colors, mark) == want
+
 
 class TestWalks:
     def test_positions_at_matches_jump_bookkeeping(self, rng):
