@@ -142,19 +142,20 @@ class FbpSolution:
     record.
     """
 
+    # the arrays and profiles are left out of the repr: they run to kilobytes
     kappa: float
     delta: float
-    times: np.ndarray
+    times: np.ndarray = field(repr=False)
     kept: list[int]
-    minus: list[ProfilePair]
-    plus: list[ProfilePair]
+    minus: list[ProfilePair] = field(repr=False)
+    plus: list[ProfilePair] = field(repr=False)
     # L1 distance between the u components of the two variants
-    bracket_widths: np.ndarray
+    bracket_widths: np.ndarray = field(repr=False)
     # edges[k] = support_edges(minus at step k)
-    edges: np.ndarray
+    edges: np.ndarray = field(repr=False)
     # windows[k, 0] = u's `_edge_window` at U, windows[k, 1] the mirrored
     # v's at -V, in the lower variant at step k
-    windows: np.ndarray
+    windows: np.ndarray = field(repr=False)
 
     def index_at(self, t: float) -> int:
         """Step of time t, under `macro.step_count`'s tolerance."""
@@ -169,9 +170,7 @@ class FbpSolution:
         if k not in self.kept:
             raise FbpError(f"time {t} was not kept by the solve")
         i = self.kept.index(k)
-        lo = self.minus[i]
-        hi = resample(self.plus[i], lo.grid)
-        return ProfilePair(lo.grid, 0.5 * (lo.u + hi.u), 0.5 * (lo.v + hi.v))
+        return _midpoint(self.minus[i], self.plus[i])
 
     @cached_property
     def boundaries(self) -> BoundaryCurves:
@@ -190,6 +189,26 @@ def _step_count(T: float, delta: float) -> int:
         return step_count(T, delta)
     except ProfileError as exc:
         raise FbpError(str(exc)) from None
+
+
+def _midpoint(lo: ProfilePair, hi: ProfilePair) -> ProfilePair:
+    """Midpoint of a lower and an upper variant, on the lower's grid."""
+    hi = resample(hi, lo.grid)
+    return ProfilePair(lo.grid, 0.5 * (lo.u + hi.u), 0.5 * (lo.v + hi.v))
+
+
+def _lockstep(initial: ProfilePair, kappa: float, n: int, delta: float):
+    """Yield (k, lower, upper) for k = 0, ..., n: the lower and upper
+    barrier iterations from `initial` in steps of delta, lower first in each
+    step.  A transfer that would exhaust a species raises
+    `AnnihilationError`."""
+    lo = hi = initial
+    yield 0, lo, hi
+    for k in range(1, n + 1):
+        # through macro's namespace, where the bench tracer binds the step
+        lo = macro.barrier_step(lo, delta, kappa, "minus")
+        hi = macro.barrier_step(hi, delta, kappa, "plus")
+        yield k, lo, hi
 
 
 def solve_reference(initial: ProfilePair, kappa: float, T: float, delta: float,
@@ -213,11 +232,7 @@ def solve_reference(initial: ProfilePair, kappa: float, T: float, delta: float,
     edges = np.empty((n + 1, 2))
     windows = np.full((n + 1, 2, 2, _FIT_CELLS + 1), math.nan)
     minus, plus = [], []
-    lo = hi = initial
-    for k in range(n + 1):
-        if k:
-            lo = macro.barrier_step(lo, delta, kappa, "minus")
-            hi = macro.barrier_step(hi, delta, kappa, "plus")
+    for k, lo, hi in _lockstep(initial, kappa, n, delta):
         widths[k] = l1_distance_u(lo, hi)
         U, V = support_edges(lo)
         edges[k] = U, V
@@ -230,6 +245,15 @@ def solve_reference(initial: ProfilePair, kappa: float, T: float, delta: float,
             plus.append(hi)
     return FbpSolution(kappa, delta, delta * np.arange(n + 1), kept, minus,
                        plus, widths, edges, windows)
+
+
+def reference_profile(initial: ProfilePair, kappa: float, T: float,
+                      delta: float) -> ProfilePair:
+    """`solve_reference(initial, kappa, T, delta).profile_at(T)`, bit for
+    bit, without recording the steps before T."""
+    for _, lo, hi in _lockstep(initial, kappa, _step_count(T, delta), delta):
+        pass
+    return _midpoint(lo, hi)
 
 
 # ---------------------------------------------------------------------------

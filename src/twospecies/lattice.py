@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import csv
 import os
+import pickle
+import signal
+import traceback
 import warnings
 from dataclasses import dataclass, replace
 
@@ -504,49 +507,106 @@ def worker_count(threads: int, n_seeds: int) -> int:
     return max(1, min(threads, n_seeds, usable_cpus()))
 
 
-# Set in each forked worker by its initializer; the parent never sets it.
-_worker_job: tuple | None = None
+class WorkerTraceback(Exception):
+    """The traceback of a replica's exception in its forked worker; the
+    parent re-raises the exception with this as its cause."""
 
 
-def _start_worker(fn, n_seeds: int, workers: int) -> None:
-    global _worker_job
-    _worker_job = (fn, n_seeds, workers)
+def _run_chunk(fn, first: int, n_seeds: int, workers: int, pipe) -> None:
+    """Body of forked worker `first`: run reps first, first + workers, ...
+    and pickle to the write end of `pipe` either (None, rows, None) or, at
+    the first rep that raises, (rep, exception, traceback text).  Exits 0
+    once all is written; never returns."""
+    status = 1
+    try:
+        os.close(pipe[0])
+        rep = first
+        try:
+            rows = []
+            for rep in range(first, n_seeds, workers):
+                rows.append(fn(rep))
+            payload = pickle.dumps((None, rows, None))
+        except Exception as exc:
+            tb = traceback.format_exc()
+            try:
+                payload = pickle.dumps((rep, exc, tb))
+            except Exception:
+                payload = pickle.dumps((rep, RuntimeError(repr(exc)), tb))
+        with os.fdopen(pipe[1], "wb") as fh:
+            fh.write(payload)
+        status = 0
+    finally:
+        # skip the parent's exit handlers and buffered output
+        os._exit(status)
 
 
-def _run_chunk(first: int) -> list:
-    fn, n_seeds, workers = _worker_job
-    return [fn(rep) for rep in range(first, n_seeds, workers)]
+def map_seeds(fn, n_seeds: int, threads: int, meanwhile=None) -> list:
+    """[fn(rep) for rep in range(n_seeds)], fanned out over forked workers,
+    while the calling process runs `meanwhile()` if given.
 
+    `worker_count` workers are forked directly, one strided chunk each:
+    worker i runs reps i, i + workers, ... and pickles its rows back through
+    its own pipe.  The rows are put back in rep order, so with per-replica
+    substreams (`replica_rngs`) the list is the serial one.  A forked worker
+    inherits `fn`, closures included, and the imported modules, so nothing
+    but the rows is pickled.  Fork copies only the calling thread, so call
+    this from a process running no other threads.
 
-def map_seeds(fn, n_seeds: int, threads: int) -> list:
-    """[fn(rep) for rep in range(n_seeds)], fanned out over forked workers.
-
-    The reps are cut into `worker_count` strided chunks, i, i + workers,
-    ..., one pool task each, and the rows are put back in rep order, so
-    with per-replica substreams (`replica_rngs`) the list is the serial
-    one.  Workers are forked, not spawned: a forked worker inherits `fn`,
-    closures included, and the imported modules, so nothing but the rows
-    is pickled and no worker re-imports numpy.  Fork copies only the
-    calling thread, so call this from a process running no other threads.
-    Without `fork`, or with one worker, the replicas run serially here.
-    An exception raised by a replica reaches the caller with its type,
-    after every worker has exited.
+    Without `os.fork`, or with one worker, `meanwhile()` runs first and the
+    replicas after it, here.  An exception from `meanwhile` wins over any
+    replica's.  Otherwise a replica's exception reaches the caller with its
+    type, from the lowest failing rep, as in a serial run; a worker that
+    ends without sending its rows raises RuntimeError.  Every worker has
+    been reaped when this returns or raises.
     """
     workers = worker_count(threads, n_seeds)
-    if workers > 1:
-        # imported here: they cost tens of ms, and most runs never fork
-        import multiprocessing
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-            rows = [None] * n_seeds
-            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                     _start_worker, (fn, n_seeds, workers)
-                                     ) as pool:
-                for first, chunk in enumerate(pool.map(_run_chunk,
-                                                       range(workers))):
-                    rows[first::workers] = chunk
-            return rows
-    return [fn(rep) for rep in range(n_seeds)]
+    if workers == 1 or not hasattr(os, "fork"):
+        if meanwhile is not None:
+            meanwhile()
+        return [fn(rep) for rep in range(n_seeds)]
+    live = []  # (pid, read end of its pipe) of each unreaped worker
+    try:
+        for first in range(workers):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _run_chunk(fn, first, n_seeds, workers, (r, w))
+            os.close(w)
+            live.append((pid, os.fdopen(r, "rb")))
+        if meanwhile is not None:
+            meanwhile()
+        rows = [None] * n_seeds
+        failures = []
+        for first in range(workers):
+            pid, fh = live[0]
+            with fh:
+                data = fh.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del live[0]
+            if code or not data:
+                raise RuntimeError(
+                    f"replica worker {first} (pid {pid}) ended with exit "
+                    f"code {code} before sending its rows")
+            rep, value, tb = pickle.loads(data)
+            if rep is None:
+                rows[first::workers] = value
+            else:
+                failures.append((rep, value, tb))
+        if failures:
+            rep, exc, tb = min(failures, key=lambda f: f[0])
+            raise exc from WorkerTraceback(tb)
+        return rows
+    finally:
+        # reached with workers left only on an error: their rows are not needed
+        for pid, fh in live:
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 # ---------------------------------------------------------------------------

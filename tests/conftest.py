@@ -1,8 +1,33 @@
 """Shared fixtures and random-instance generators for the test suite."""
+import os
+
 import numpy as np
 import pytest
 
 from twospecies import macro
+
+
+def process_left_running() -> bool:
+    """True if this process has a child process, running or exited but not
+    reaped; the exited ones it finds are reaped."""
+    found = False
+    try:
+        while True:
+            pid, _ = os.waitpid(-1, os.WNOHANG)
+            if pid == 0:
+                return True
+            found = True
+    except ChildProcessError:
+        return found
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail any test that leaves a child process running or unreaped, so a
+    replica fan-out cannot leak its workers unseen."""
+    yield
+    if hasattr(os, "WNOHANG"):
+        assert not process_left_running(), "the test left a child process"
 
 
 @pytest.fixture

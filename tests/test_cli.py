@@ -1,12 +1,12 @@
 """End-to-end runs of the command line harness."""
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from conftest import process_left_running
 
 from twospecies import cli, coupling, lattice, macro
 from twospecies.cli import main
@@ -81,6 +81,8 @@ class TestSimulate:
         assert len(names) == 10
         for name in names + ["report.json"]:
             assert (out1 / name).read_bytes() == (out3 / name).read_bytes()
+        assert [json.loads((out / "manifest.json").read_text())["workers"]
+                for out in (out1, out3)] == [1, 3]
 
     def test_custom_profile_block(self, tmp_path):
         code, _ = run(tmp_path, "simulate", dict(SIM_CFG, profile=TENT_PROFILE))
@@ -237,7 +239,8 @@ print("numpy.ma" in sys.modules)
 
 
     def test_cli_import_leaves_the_process_pool_unimported(self):
-        # the fan-out imports them itself: they cost tens of ms at start-up
+        # the fan-out forks directly and needs neither: they cost tens of ms
+        # at start-up
         script = ("import sys, twospecies.cli\n"
                   "print(sorted({'multiprocessing', 'concurrent.futures'}"
                   " & set(sys.modules)))")
@@ -265,7 +268,7 @@ class TestReplicaFailures:
                       "--seeds", "3", "--threads", threads)
         assert code == 2
         assert "zero particles" in capsys.readouterr().err
-        assert not multiprocessing.active_children()
+        assert not process_left_running()
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_unexpected_error_in_a_replica_exits_3(self, tmp_path, capsys,
@@ -279,7 +282,49 @@ class TestReplicaFailures:
                       "--threads", threads)
         assert code == 3
         assert "RuntimeError: walks broke" in capsys.readouterr().err
-        assert not multiprocessing.active_children()
+        assert not process_left_running()
+
+    @pytest.mark.parametrize("outcome", ["annihilated", "simulation error",
+                                         "unexpected error"])
+    def test_hydro_compare_fails_alike_at_two_threads(self, tmp_path, capsys,
+                                                      monkeypatch, four_cpus,
+                                                      outcome):
+        cfg = dict(SIM_CFG)
+        if outcome == "annihilated":
+            # kappa * delta_ref = 2 exhausts a species at the first step
+            cfg.update(kappa=200, horizon_T=0.5)
+        elif outcome == "simulation error":
+            # each replica draws zero particles, as in the simulate case
+            cfg.update(epsilon=0.5, profile=dict(
+                TENT_PROFILE, u_tent=[-1.0, 0.0, 0.1], v_tent=[-0.5, 1.0, 0.1]))
+        else:
+            def broken(*args, **kwargs):
+                raise RuntimeError("walks broke")
+
+            monkeypatch.setattr(lattice, "run_true", broken)
+        results = []
+        for threads in ("1", "2"):
+            (tmp_path / threads).mkdir()
+            code, out = run(tmp_path / threads, "hydro-compare", cfg,
+                            "--seeds", "3", "--threads", threads)
+            report = out / "report.json"
+            results.append((code, report.exists() and json.loads(
+                report.read_text()), capsys.readouterr().err.splitlines()))
+            assert not list(out.glob("*.csv"))
+            assert not process_left_running()
+        (code, report, err), (code2, report2, err2) = results
+        assert code == code2 == {"annihilated": 1, "simulation error": 2,
+                                 "unexpected error": 3}[outcome]
+        assert report == report2
+        if outcome == "annihilated":
+            assert report.keys() == {"annihilated", "error"}
+            assert err == err2 == []
+        elif outcome == "simulation error":
+            assert not report
+            assert err == err2 and "zero particles" in err[0]
+        else:
+            # the tracebacks differ; the exception they end with does not
+            assert err[-1] == err2[-1] == "RuntimeError: walks broke"
 
 
 class TestHydroCompare:

@@ -170,6 +170,17 @@ class TestStreamedRecord:
         with pytest.raises(FbpError):
             fbp.solve_reference(macro.tent_pair(), 0.5, 0.1, 0.01, keep=keep)
 
+    @pytest.mark.parametrize("T", [0.0, 0.05, 0.1])
+    def test_reference_profile_is_the_final_midpoint(self, T):
+        mid = fbp.reference_profile(macro.tent_pair(), 0.5, T, 0.01)
+        ref = fbp.solve_reference(macro.tent_pair(), 0.5, T, 0.01).profile_at(T)
+        assert mid.grid == ref.grid
+        assert np.array_equal(mid.u, ref.u) and np.array_equal(mid.v, ref.v)
+
+    def test_repr_leaves_out_the_arrays(self):
+        sol = fbp.solve_reference(macro.tent_pair(), 0.5, 0.05, 1e-3)
+        assert len(repr(sol)) < 1024
+
 
 def left_edge(f, grid, thr):
     """Leftmost threshold crossing of f, linearly interpolated: the direct

@@ -1,11 +1,14 @@
 """Microscopic event-driven simulation: sampling, flips, trajectories."""
 import math
-import multiprocessing
 import os
+import select
+import signal
+import time
 from statistics import NormalDist
 
 import numpy as np
 import pytest
+from conftest import process_left_running
 
 from twospecies import lattice, macro
 from twospecies.lattice import (A, B, LEFT, RIGHT, EventLog, ParticleState,
@@ -434,14 +437,111 @@ class TestReplicas:
         pids = [pid for _, pid in rows]
         assert pids[0] == pids[3] and pids[1] == pids[4]
         assert os.getpid() not in pids
-        assert not multiprocessing.active_children()
+        assert not process_left_running()
+
+    @pytest.mark.parametrize("n_seeds, threads", [(5, 3), (7, 2), (4, 4),
+                                                  (9, 4)])
+    def test_each_worker_runs_one_chunk(self, monkeypatch, n_seeds, threads):
+        monkeypatch.setattr(lattice, "usable_cpus", lambda: 4)
+        workers = lattice.worker_count(threads, n_seeds)
+        pids = lattice.map_seeds(lambda rep: os.getpid(), n_seeds, threads)
+        assert len(set(pids)) == workers
+        for first in range(workers):
+            chunk = pids[first::workers]
+            assert chunk == [chunk[0]] * len(chunk)
+        assert not process_left_running()
 
     def test_without_fork_the_replicas_run_here(self, monkeypatch):
         monkeypatch.setattr(lattice, "usable_cpus", lambda: 4)
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
-                            lambda: ["spawn"])
-        pids = lattice.map_seeds(lambda rep: os.getpid(), 3, 2)
+        monkeypatch.delattr(os, "fork")
+        calls = []
+        pids = lattice.map_seeds(lambda rep: calls.append(rep) or os.getpid(),
+                                 3, 2, meanwhile=lambda: calls.append("ref"))
         assert pids == [os.getpid()] * 3
+        # serially the parent's callable runs first, then the replicas
+        assert calls == ["ref", 0, 1, 2]
+
+    def test_the_parent_works_while_the_workers_run(self, monkeypatch):
+        # each worker waits for the byte `meanwhile` writes: a parent that
+        # waited for its workers first would leave them to time out
+        monkeypatch.setattr(lattice, "usable_cpus", lambda: 4)
+        r, w = os.pipe()
+        try:
+            rows = lattice.map_seeds(
+                lambda rep: bool(select.select([r], [], [], 30)[0]), 3, 2,
+                meanwhile=lambda: os.write(w, b"x"))
+        finally:
+            os.close(r)
+            os.close(w)
+        assert rows == [True] * 3
+        assert not process_left_running()
+
+    @pytest.mark.parametrize("replica", ["raises", "sleeps"])
+    def test_the_parent_callable_error_wins(self, monkeypatch, replica):
+        monkeypatch.setattr(lattice, "usable_cpus", lambda: 4)
+
+        def fn(rep):
+            if replica == "raises":
+                raise SimulationError("replica failed")
+            time.sleep(60)
+
+        def solve():
+            raise ValueError("solve failed")
+
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="solve failed"):
+            lattice.map_seeds(fn, 4, 2, meanwhile=solve)
+        # sleeping workers are stopped, not waited for
+        assert time.monotonic() - start < 30
+        assert not process_left_running()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_replica_error_is_the_first_failing_reps(self, monkeypatch,
+                                                     threads):
+        monkeypatch.setattr(lattice, "usable_cpus", lambda: 4)
+
+        def fn(rep):
+            if rep in (1, 2):
+                raise SimulationError(f"rep {rep} failed")
+            return rep
+
+        # with two workers, worker 0 fails at rep 2 and worker 1 at rep 1
+        with pytest.raises(SimulationError, match="rep 1 failed") as info:
+            lattice.map_seeds(fn, 4, threads)
+        if threads > 1:
+            assert isinstance(info.value.__cause__, lattice.WorkerTraceback)
+            assert "fn" in str(info.value.__cause__)
+        assert not process_left_running()
+
+    def test_an_unpicklable_replica_error_still_reaches_the_parent(
+            self, monkeypatch):
+        monkeypatch.setattr(lattice, "usable_cpus", lambda: 4)
+
+        class LocalError(Exception):
+            pass
+
+        def fn(rep):
+            raise LocalError("local")
+
+        with pytest.raises(RuntimeError, match="LocalError"):
+            lattice.map_seeds(fn, 2, 2)
+        assert not process_left_running()
+
+    @pytest.mark.parametrize("death, code", [
+        (lambda: os._exit(3), 3),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL)])
+    def test_a_worker_that_dies_raises_in_the_parent(self, monkeypatch, death,
+                                                     code):
+        monkeypatch.setattr(lattice, "usable_cpus", lambda: 4)
+
+        def fn(rep):
+            if rep == 1:
+                death()
+            return rep
+
+        with pytest.raises(RuntimeError, match=f"exit code {code} before"):
+            lattice.map_seeds(fn, 4, 2)
+        assert not process_left_running()
 
 
 class TestProfiles:
