@@ -276,9 +276,9 @@ def cmd_fbp(args, cfg: dict, out: Path) -> int:
         for side in ("u", "v"):
             mc = fbp.mc_validate(sol, mc_cfg["t"], mc_cfg["n_paths"], rng,
                                  side=side, dt=mc_cfg["dt"])
-            checks.append(mc.to_dict())
-            ok = (ok and mc.max_abs_z <= mc_cfg["z_max"]
-                  and abs(mc.mass.z) <= 3.0)
+            checks.append(mc)
+            ok = (ok and mc["max_abs_z"] <= mc_cfg["z_max"]
+                  and abs(mc["mass"]["z"]) <= 3.0)
         report["mc"] = checks
     write_report(out, report)
     return 0 if ok else 1

@@ -18,8 +18,8 @@ import numpy as np
 
 from .lattice import (A, B, COLORS, LEFT, MARKS, RIGHT, EventLog,
                       PositionRealization, SimConfig, as_codes, in_X,
-                      map_seeds, rank_select, replica_rngs, run_true,
-                      sample_clock, sample_initial)
+                      map_seeds, marks_stay_in_X, rank_select, replica_rngs,
+                      run_true, sample_clock, sample_initial)
 from .macro import ProfilePair, step_count
 
 
@@ -288,18 +288,6 @@ def apply_C2(cs: CoupledState, mark: int, exchange_copy: int = 1) -> None:
 
 # ---------------------------------------------------------------------------
 # balance identities
-
-
-def marks_stay_in_X(h_a0: int, M: int, marks) -> bool:
-    """Both species survive every flip of the sequence.  The initial tally
-    h_a0 is not checked, unlike `lattice.in_X`: from h_a0 = 0 a sequence
-    that starts with a left flip stays in X."""
-    n_a = h_a0
-    for mark in marks:
-        n_a += 1 if mark == LEFT else -1
-        if not 0 < n_a < M:
-            return False
-    return True
 
 
 def _balance_history(cs: CoupledState, marks) -> str | None:

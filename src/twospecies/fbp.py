@@ -433,50 +433,8 @@ def _sample_from_density(f: np.ndarray, grid: GridSpec, n: int,
     return grid.nodes()[idx] + grid.h * (rng.random(n) - 0.5)
 
 
-@dataclass
-class IntervalCheck:
-    r_lo: float
-    r_hi: float
-    reference: float
-    estimate: float
-    se: float
-
-    @property
-    def z(self) -> float:
-        return (self.estimate - self.reference) / max(self.se, 1e-300)
-
-
-@dataclass
-class MassIdentityCheck:
-    t: float
-    target: float
-    estimate: float
-    se: float
-
-    @property
-    def z(self) -> float:
-        return (self.estimate - self.target) / max(self.se, 1e-300)
-
-
-@dataclass
-class McReport:
-    side: str
-    t: float
-    intervals: list[IntervalCheck]
-    mass: MassIdentityCheck
-    max_abs_z: float = field(init=False)
-
-    def __post_init__(self):
-        self.max_abs_z = max(abs(iv.z) for iv in self.intervals)
-
-    def to_dict(self) -> dict:
-        return {
-            "side": self.side,
-            "t": self.t,
-            "max_abs_z": self.max_abs_z,
-            "mass": vars(self.mass) | {"z": self.mass.z},
-            "intervals": [vars(iv) | {"z": iv.z} for iv in self.intervals],
-        }
+def _z(estimate: float, target: float, se: float) -> float:
+    return (estimate - target) / max(se, 1e-300)
 
 
 def _side_data(sol: FbpSolution, side: str, t: float
@@ -494,11 +452,17 @@ def _side_data(sol: FbpSolution, side: str, t: float
 
 def mc_validate(sol: FbpSolution, t: float, n_paths: int,
                 rng: np.random.Generator, side: str = "u", *,
-                dt: float) -> McReport:
+                dt: float) -> dict:
     """Compare interval masses of the reference profile at time t with the
     path representation: surviving paths from the initial datum plus
     surviving paths injected at the partner's boundary at uniform times
-    (Fubini weight kappa*t).  Also checks the absorbed-mass identity."""
+    (Fubini weight kappa*t).  Also checks the absorbed-mass identity.
+
+    Returns the report entry: `side`, `t`, `max_abs_z` (the largest |z| of
+    the intervals), `mass` (`t`, `target` kappa*t, `estimate`, `se`, `z`)
+    and `intervals` (`r_lo`, `r_hi`, `reference`, `estimate`, `se`, `z`
+    each), z the estimate's distance from its target in standard errors.
+    """
     p0, bd, ref = _side_data(sol, side, t)
     mass0 = float(node_weights(p0.grid) @ p0.u)
     kappa_t = sol.kappa * t
@@ -535,18 +499,27 @@ def mc_validate(sol: FbpSolution, t: float, n_paths: int,
         c0 = int(np.count_nonzero(~ab0 & (xf0 >= a) & (xf0 < b)))
         cs = int(np.count_nonzero(~abs_ & (xfs >= a) & (xfs < b)))
         est = w0 * c0 + ws * cs
-        var = (binomial_var(c0 / n0, n0, mass0)
-               + binomial_var(cs / ns, ns, kappa_t))
+        se = math.sqrt(binomial_var(c0 / n0, n0, mass0)
+                       + binomial_var(cs / ns, ns, kappa_t))
         # reported in the original r, where the mirrored [a, b) is (-b, -a]
-        intervals.append(IntervalCheck(*((a, b) if side == "u" else (-b, -a)),
-                                       ref_mass, est, math.sqrt(var)))
+        lo, hi = (a, b) if side == "u" else (-b, -a)
+        intervals.append({"r_lo": lo, "r_hi": hi, "reference": ref_mass,
+                          "estimate": est, "se": se,
+                          "z": _z(est, ref_mass, se)})
 
     pa0 = float(np.mean(ab0))
     pas = float(np.mean(abs_))
     est_mass = mass0 * pa0 + kappa_t * pas
-    var_mass = binomial_var(pa0, n0, mass0) + binomial_var(pas, ns, kappa_t)
-    mass = MassIdentityCheck(t, kappa_t, est_mass, math.sqrt(var_mass))
-    return McReport(side, t, intervals, mass)
+    se_mass = math.sqrt(binomial_var(pa0, n0, mass0)
+                        + binomial_var(pas, ns, kappa_t))
+    return {
+        "side": side,
+        "t": t,
+        "max_abs_z": max(abs(iv["z"]) for iv in intervals),
+        "mass": {"t": t, "target": kappa_t, "estimate": est_mass,
+                 "se": se_mass, "z": _z(est_mass, kappa_t, se_mass)},
+        "intervals": intervals,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -79,9 +79,6 @@ class SimConfig:
     def clock_intensity(self) -> float:
         return 2.0 * self.epsilon * self.kappa
 
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence(self.seed))
-
 
 @dataclass
 class ParticleState:
@@ -137,9 +134,9 @@ class EventLog:
 
 def check_class_U(profile: ProfilePair) -> None:
     """Raise SimulationError unless the profile is a class-U initial datum."""
-    report = validate_class_U(profile)
-    if not report.valid:
-        raise SimulationError("initial profile is invalid: " + "; ".join(report.violations))
+    violations = validate_class_U(profile)
+    if violations:
+        raise SimulationError("initial profile is invalid: " + "; ".join(violations))
 
 
 def sample_initial(profile: ProfilePair, cfg: SimConfig,
@@ -171,24 +168,20 @@ def sample_initial(profile: ProfilePair, cfg: SimConfig,
 
 def sample_clock(cfg: SimConfig, rng: np.random.Generator) -> EventLog:
     """Homogeneous Poisson rings of intensity 2*eps*kappa on (0, eps^-2 T]
-    with fair independent right/left marks."""
+    with fair independent right/left marks.  Gaps come in blocks of 64,
+    each summed in order from the last ring time."""
     lam = cfg.clock_intensity
     horizon = cfg.micro_horizon
-    times: list[float] = []
-    if lam > 0:
-        t = 0.0
-        while True:
-            block = rng.exponential(1.0 / lam, size=64)
-            for dt in block:
-                t += dt
-                if t > horizon:
-                    break
-                times.append(t)
-            if t > horizon:
-                break
-    times_arr = np.asarray(times)
-    marks = np.where(rng.random(len(times_arr)) < 0.5, RIGHT, LEFT)
-    return EventLog(times_arr, marks)
+    blocks = [np.empty(0)]
+    t = 0.0
+    while lam > 0 and t <= horizon:
+        gaps = rng.exponential(1.0 / lam, size=64)
+        blocks.append(np.cumsum(np.concatenate(([t], gaps)))[1:])
+        t = blocks[-1][-1]
+    times = np.concatenate(blocks)
+    times = times[times <= horizon]
+    marks = np.where(rng.random(len(times)) < 0.5, RIGHT, LEFT)
+    return EventLog(times, marks)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +419,6 @@ class TrueTrajectory:
         if t_end > realization.t_end + 1e-9:
             raise SimulationError(f"t_end {t_end} extends past the stored "
                                   f"realization (t_end {realization.t_end})")
-        self.initial = initial.copy()
         self.log = log
         self.realization = realization
         self.t_end = float(t_end)
@@ -469,14 +461,25 @@ def run_true(ps: ParticleState, log: EventLog, t_end: float,
     return TrueTrajectory(ps, log, realization, t_end)
 
 
+def marks_stay_in_X(h_a0: int, M: int, marks) -> bool:
+    """Both species survive every flip of the mark sequence: the a-count,
+    h_a0 before the first flip, stays in (0, M) after each one.  h_a0
+    itself is not checked: from h_a0 = 0 a sequence that starts with a left
+    flip stays in X."""
+    n_a = h_a0
+    for mark in marks:
+        n_a += 1 if mark == LEFT else -1
+        if not 0 < n_a < M:
+            return False
+    return True
+
+
 def in_X(h_a0: int, M: int, log: EventLog, t_end: float) -> bool:
-    """True iff both species stay present up to t_end (tally never hits 0 or M).
-    The initial tally h_a0 counts too, unlike `coupling.marks_stay_in_X`:
-    h_a0 = 0 is never in X."""
-    sel = log.times <= t_end
-    signs = np.where(log.marks[sel] == LEFT, 1, -1)
-    tally = h_a0 + np.concatenate([[0], np.cumsum(signs)])
-    return bool(np.all((tally > 0) & (tally < M)))
+    """True iff both species are present from time 0 up to t_end: the
+    initial a-count h_a0 is in (0, M) and the rings of `log` up to t_end
+    keep it there."""
+    n = int(np.searchsorted(log.times, t_end, side="right"))
+    return 0 < h_a0 < M and marks_stay_in_X(h_a0, M, log.marks[:n].tolist())
 
 
 # ---------------------------------------------------------------------------

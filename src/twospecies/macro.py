@@ -248,33 +248,24 @@ def split_head(f: np.ndarray, grid: GridSpec, mass: float) -> tuple[np.ndarray, 
 # class-U validation
 
 
-@dataclass
-class ClassUReport:
-    valid: bool
-    violations: list[str]
-    L: float | None = None
-    R: float | None = None
-    D: float | None = None
-    E: float | None = None
-
-
-def _support_interval(f: np.ndarray, grid: GridSpec, thr: float) -> tuple[int, int] | None:
+def _support_interval(f: np.ndarray, thr: float) -> tuple[int, int] | None:
     idx = np.nonzero(f > thr)[0]
     if len(idx) == 0:
         return None
     return int(idx[0]), int(idx[-1])
 
 
-def validate_class_U(p: ProfilePair) -> ClassUReport:
-    """Check interval supports with the overlap ordering L < D < R < E and
-    positivity inside each support (no isolated interior zeros)."""
+def validate_class_U(p: ProfilePair) -> list[str]:
+    """The ways p fails to be class U, empty for a class-U pair: interval
+    supports with the overlap ordering L < D < R < E and positivity inside
+    each support (no isolated interior zeros)."""
     peak = max(float(p.u.max(initial=0.0)), float(p.v.max(initial=0.0)))
     thr = 1e-12 * peak
     violations: list[str] = []
     nodes = p.grid.nodes()
 
-    su = _support_interval(p.u, p.grid, thr)
-    sv = _support_interval(p.v, p.grid, thr)
+    su = _support_interval(p.u, thr)
+    sv = _support_interval(p.v, thr)
     if su is None:
         violations.append("u has empty support")
     if sv is None:
@@ -294,7 +285,7 @@ def validate_class_U(p: ProfilePair) -> ClassUReport:
         if not (L < D < R < E):
             violations.append(
                 f"support ordering violated: L={L}, D={D}, R={R}, E={E}")
-    return ClassUReport(valid=not violations, violations=violations, L=L, R=R, D=D, E=E)
+    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -516,12 +507,11 @@ def tent(grid: GridSpec, left: float, right: float, mass: float = 1.0) -> np.nda
     return f * (mass / cur)
 
 
-def tent_pair(grid: GridSpec | None = None, mass_u: float = 1.0, mass_v: float = 1.0
-              ) -> ProfilePair:
-    """Default overlapping-tent initial datum: u on (-1, 0.5), v on (0, 1.5)."""
-    if grid is None:
-        grid = GridSpec(-2.5, 3.0, 1100)
-    return ProfilePair(grid, tent(grid, -1.0, 0.5, mass_u), tent(grid, 0.0, 1.5, mass_v))
+def tent_pair() -> ProfilePair:
+    """Default overlapping-tent initial datum: unit-mass u on (-1, 0.5) and
+    v on (0, 1.5)."""
+    grid = GridSpec(-2.5, 3.0, 1100)
+    return ProfilePair(grid, tent(grid, -1.0, 0.5), tent(grid, 0.0, 1.5))
 
 
 def resample(p: ProfilePair, grid: GridSpec) -> ProfilePair:

@@ -195,6 +195,25 @@ class TestFbp:
         assert report["summary"]["n_steps"] == 10
         assert {c["side"] for c in report["mc"]} == {"u", "v"}
 
+    def test_mc_entry_shape(self, tmp_path):
+        cfg = {"kappa": 0.5, "delta": 0.01, "horizon_T": 0.1,
+               "mc": {"t": 0.1, "n_paths": 500, "dt": 2e-3}}
+        code, out = run(tmp_path, "fbp", cfg)
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        for side, entry in zip("uv", report["mc"]):
+            assert list(entry) == ["side", "t", "max_abs_z", "mass",
+                                   "intervals"]
+            assert (entry["side"], entry["t"]) == (side, 0.1)
+            assert list(entry["mass"]) == ["t", "target", "estimate", "se",
+                                           "z"]
+            assert entry["intervals"]
+            for iv in entry["intervals"]:
+                assert list(iv) == ["r_lo", "r_hi", "reference", "estimate",
+                                    "se", "z"]
+            assert entry["max_abs_z"] == max(abs(iv["z"])
+                                             for iv in entry["intervals"])
+
     def test_mc_time_that_passes_the_check_is_a_stored_step(self, tmp_path):
         # 2e-9 off step 6: inside step_count's tolerance, 1e-9 * mc.t
         cfg = {"kappa": 0.5, "delta": 0.5, "horizon_T": 4.0,

@@ -374,21 +374,21 @@ class TestBalance:
             if cs.M >= 3 and 0 < h_a < cs.M:
                 break
         marks = [RIGHT, LEFT] if h_a >= 2 else [LEFT, RIGHT]
-        assert coupling.marks_stay_in_X(h_a, cs.M, marks)
+        assert lattice.marks_stay_in_X(h_a, cs.M, marks)
         coupling.build_splitting(cs)
         assert coupling._balance_history(cs, marks) is None
 
     def test_marks_stay_in_X(self):
-        assert coupling.marks_stay_in_X(1, 2, [RIGHT, LEFT]) is False
-        assert coupling.marks_stay_in_X(1, 3, [LEFT, RIGHT]) is True
+        assert lattice.marks_stay_in_X(1, 2, [RIGHT, LEFT]) is False
+        assert lattice.marks_stay_in_X(1, 3, [LEFT, RIGHT]) is True
 
     def test_survival_tallies_differ_on_the_initial_state(self):
         # the exhaustive counts run sequences from h_a0 = 0 (and M), which
         # the ring-log tally of the stochastic setting excludes
         empty = lattice.EventLog([], [])
         assert lattice.in_X(0, 2, empty, 1.0) is False
-        assert coupling.marks_stay_in_X(0, 2, ()) is True
-        assert coupling.marks_stay_in_X(0, 2, (LEFT,)) is True
+        assert lattice.marks_stay_in_X(0, 2, ()) is True
+        assert lattice.marks_stay_in_X(0, 2, (LEFT,)) is True
 
     def test_randomized_balance_with_walk_transport(self, rng):
         # m copy-1 flips, then m copy-2 flips, with random walk steps that
@@ -407,7 +407,7 @@ class TestBalance:
             h_a = int(np.sum(cs.sigma == A))
             m = int(rng.integers(1, 4))
             marks = list(np.where(rng.random(m) < 0.5, RIGHT, LEFT))
-            if not coupling.marks_stay_in_X(h_a, cs.M, marks):
+            if not lattice.marks_stay_in_X(h_a, cs.M, marks):
                 continue
             ran += 1
             coupling.build_splitting(cs)
@@ -466,7 +466,7 @@ class TestCoupleBlock:
             while True:
                 n = int(rng.integers(0, 4))
                 marks = np.where(rng.random(n) < 0.5, RIGHT, LEFT)
-                if coupling.marks_stay_in_X(h_a, M, marks):
+                if lattice.marks_stay_in_X(h_a, M, marks):
                     break
             jt = np.concatenate(real.jump_times)
             jt = jt[(jt > t_lo) & (jt <= t_hi)]

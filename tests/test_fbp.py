@@ -391,35 +391,35 @@ class TestMcValidation:
         for side in ("u", "v"):
             report = fbp.mc_validate(coarse_sol, 0.1, 4000, rng, side=side,
                                      dt=1e-3)
-            assert report.side == side
-            assert len(report.intervals) == 10
-            assert report.max_abs_z <= 4.0, report.to_dict()
-            assert abs(report.mass.z) <= 4.0, report.to_dict()
-            refs = [iv.reference for iv in report.intervals]
+            assert report["side"] == side
+            assert len(report["intervals"]) == 10
+            assert report["max_abs_z"] <= 4.0, report
+            assert abs(report["mass"]["z"]) <= 4.0, report
+            refs = [iv["reference"] for iv in report["intervals"]]
             assert max(refs) <= 1.5 * min(refs)
 
     def test_v_intervals_tile_the_original_r(self, coarse_sol):
         report = fbp.mc_validate(coarse_sol, 0.1, 200,
                                  np.random.default_rng(3), side="v", dt=1e-3)
-        ivs = report.intervals
-        assert all(iv.r_lo < iv.r_hi for iv in ivs)
-        ivs = sorted(ivs, key=lambda iv: iv.r_lo)
-        assert all(a.r_hi == b.r_lo for a, b in zip(ivs, ivs[1:]))
+        ivs = report["intervals"]
+        assert all(iv["r_lo"] < iv["r_hi"] for iv in ivs)
+        ivs = sorted(ivs, key=lambda iv: iv["r_lo"])
+        assert all(a["r_hi"] == b["r_lo"] for a, b in zip(ivs, ivs[1:]))
         # each reference mass is v's mass over the interval in the original r
         ref = coarse_sol.profile_at(0.1)
         for iv in ivs:
-            mass = (macro.tail_integral(ref.v, ref.grid, iv.r_lo)
-                    - macro.tail_integral(ref.v, ref.grid, iv.r_hi))
-            assert float(mass) == pytest.approx(iv.reference, abs=1e-12)
+            mass = (macro.tail_integral(ref.v, ref.grid, iv["r_lo"])
+                    - macro.tail_integral(ref.v, ref.grid, iv["r_hi"]))
+            assert float(mass) == pytest.approx(iv["reference"], abs=1e-12)
         # the lowest interval starts at the refined boundary V
         V = fbp.refined_boundary_curves(coarse_sol).V_at(0.1)
-        assert ivs[0].r_lo == pytest.approx(V, abs=1e-12)
+        assert ivs[0]["r_lo"] == pytest.approx(V, abs=1e-12)
 
     def test_mass_identity_direct(self, coarse_sol):
         rng = np.random.default_rng(5)
-        check = fbp.mc_validate(coarse_sol, 0.1, 4000, rng, dt=1e-3).mass
-        assert check.target == pytest.approx(0.05)
-        assert abs(check.z) <= 4.0
+        check = fbp.mc_validate(coarse_sol, 0.1, 4000, rng, dt=1e-3)["mass"]
+        assert check["target"] == pytest.approx(0.05)
+        assert abs(check["z"]) <= 4.0
 
     def test_refined_boundaries_computed_once_for_both_sides(
             self, coarse_sol, monkeypatch):

@@ -9,6 +9,8 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 from conftest import process_left_running
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twospecies import lattice, macro
 from twospecies.lattice import (A, B, LEFT, RIGHT, EventLog, ParticleState,
@@ -36,10 +38,6 @@ class TestConfig:
     def test_invalid_parameters(self, bad):
         with pytest.raises(SimulationError):
             cfg_small(**bad)
-
-    def test_rng_reproducible(self):
-        cfg = cfg_small()
-        assert cfg.rng().integers(1 << 30) == cfg.rng().integers(1 << 30)
 
 
 class TestSampling:
@@ -91,6 +89,42 @@ class TestSampling:
     def test_zero_kappa_gives_silent_clock(self, rng):
         log = lattice.sample_clock(cfg_small(kappa=0.0), rng)
         assert len(log) == 0
+
+    @staticmethod
+    def clock_loop(cfg, rng):
+        """Oracle: the clock summed one ring at a time in Python, as
+        `sample_clock` did before it summed whole blocks of gaps."""
+        lam, horizon = cfg.clock_intensity, cfg.micro_horizon
+        times = []
+        if lam > 0:
+            t = 0.0
+            while True:
+                block = rng.exponential(1.0 / lam, size=64)
+                for dt in block:
+                    t += dt
+                    if t > horizon:
+                        break
+                    times.append(t)
+                if t > horizon:
+                    break
+        marks = np.where(rng.random(len(times)) < 0.5, RIGHT, LEFT)
+        return np.asarray(times, dtype=float), marks
+
+    # no ring, under one block, several blocks, and a silent clock
+    @pytest.mark.parametrize("epsilon, kappa, horizon_T", [
+        (0.3, 0.2, 0.1), (0.02, 1.0, 0.5), (0.05, 10.0, 1.0),
+        (0.1, 1.0, 0.5), (0.1, 0.0, 0.5)])
+    def test_clock_draws_match_the_per_ring_loop(self, epsilon, kappa,
+                                                 horizon_T):
+        cfg = cfg_small(epsilon=epsilon, kappa=kappa, horizon_T=horizon_T)
+        for seed in range(40):
+            gen, oracle = (np.random.default_rng(np.random.SeedSequence(seed))
+                           for _ in range(2))
+            log = lattice.sample_clock(cfg, gen)
+            times, marks = self.clock_loop(cfg, oracle)
+            assert np.array_equal(log.times, times)
+            assert np.array_equal(log.marks, marks)
+            assert gen.bit_generator.state == oracle.bit_generator.state
 
 
 class TestEventLog:
@@ -302,7 +336,7 @@ class TestStreamedWalks:
         (0.1, 1.0, 0), (0.02, 1.0, 1), (0.1, 20.0, 2), (0.05, 10.0, 3)])
     def test_colors_follow_the_ring_positions(self, epsilon, kappa, seed):
         cfg = cfg_small(epsilon=epsilon, kappa=kappa, seed=seed)
-        rng = cfg.rng()
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
         ps0 = lattice.sample_initial(macro.tent_pair(), cfg, rng)
         log = lattice.sample_clock(cfg, rng)
         traj = lattice.run_true(ps0, log, cfg.micro_horizon, rng=rng)
@@ -406,6 +440,53 @@ class TestTrajectory:
         assert lattice.in_X(3, 4, log, 2.0)
         left_log = EventLog(np.array([1.0]), np.array([LEFT]))
         assert not lattice.in_X(3, 4, left_log, 1.0)
+        # from no a-particle a left flip leaves both species present, but
+        # the run did not start in X
+        assert lattice.marks_stay_in_X(0, 2, [LEFT])
+        assert not lattice.in_X(0, 2, left_log, 1.0)
+
+
+def in_X_numpy(h_a0, M, log, t_end):
+    """Oracle: the cumulative-sum tally `in_X` kept before it called
+    `marks_stay_in_X`."""
+    sel = log.times <= t_end
+    signs = np.where(log.marks[sel] == LEFT, 1, -1)
+    tally = h_a0 + np.concatenate([[0], np.cumsum(signs)])
+    return bool(np.all((tally > 0) & (tally < M)))
+
+
+def marks_stay_loop(h_a0, M, marks):
+    """Oracle: the flip loop `coupling` kept as its own survival tally."""
+    n_a = h_a0
+    for mark in marks:
+        n_a += 1 if mark == LEFT else -1
+        if not 0 < n_a < M:
+            return False
+    return True
+
+
+@st.composite
+def survival_cases(draw):
+    """(M, h_a0, marks, t_end): mark k rings at time k + 1."""
+    M = draw(st.integers(1, 8))
+    h_a0 = draw(st.integers(0, M))
+    marks = draw(st.lists(st.sampled_from([RIGHT, LEFT]), max_size=12))
+    t_end = draw(st.floats(0.0, 13.0))
+    return M, h_a0, marks, t_end
+
+
+@given(survival_cases())
+@example((2, 0, [LEFT], 13.0))
+@example((3, 3, [RIGHT, RIGHT], 1.5))
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+def test_one_survival_tally(case):
+    M, h_a0, marks, t_end = case
+    log = EventLog(np.arange(1.0, len(marks) + 1),
+                   np.array(marks, dtype=np.int8))
+    assert lattice.in_X(h_a0, M, log, t_end) == in_X_numpy(h_a0, M, log,
+                                                           t_end)
+    assert lattice.marks_stay_in_X(h_a0, M, marks) == marks_stay_loop(
+        h_a0, M, marks)
 
 
 class TestReplicas:
