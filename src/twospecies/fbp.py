@@ -108,8 +108,9 @@ def extract_boundaries(times, edges) -> BoundaryCurves:
 def _edge_window(f: np.ndarray, grid: GridSpec, edge: float) -> np.ndarray:
     """Nodes (row 0) and samples (row 1) of the _FIT_CELLS cells of f that
     end _FIT_SKIP cells inside its right edge: a fresh (2, _FIT_CELLS + 1)
-    array, NaN when the grid leaves no room for the fit."""
-    hi = int(math.floor((edge - grid.r_min) / grid.h)) - _FIT_SKIP
+    array, NaN for a NaN edge or when the grid leaves no room for the fit."""
+    hi = (-1 if math.isnan(edge)
+          else int(math.floor((edge - grid.r_min) / grid.h)) - _FIT_SKIP)
     lo = hi - _FIT_CELLS
     if lo < 0:
         return np.full((2, _FIT_CELLS + 1), math.nan)
@@ -118,11 +119,11 @@ def _edge_window(f: np.ndarray, grid: GridSpec, edge: float) -> np.ndarray:
                      f[lo:hi + 1]])
 
 
-def _edge_line(window: np.ndarray) -> np.ndarray | None:
+def _edge_line(window: np.ndarray) -> np.ndarray:
     """(slope, intercept) of the least-squares line through an
-    `_edge_window`, or None for a NaN one."""
+    `_edge_window`, NaN for a NaN one."""
     if math.isnan(window[0, 0]):
-        return None
+        return np.full(2, math.nan)
     return np.polyfit(window[0], window[1], 1)
 
 
@@ -138,8 +139,8 @@ class FbpSolution:
     Every step keeps the bracket width, the unchecked support edges of the
     lower variant and its near-edge fit windows; whole pairs are kept only
     at the steps in `kept` (0, the last step and the requested times).  The
-    boundaries, the refined boundaries and the fluxes are views of the
-    record.
+    boundaries are a view of the edges; the refined boundaries and the
+    fluxes are views of the edges and of `edge_lines`, each window fit once.
     """
 
     # the arrays and profiles are left out of the repr: they run to kilobytes
@@ -176,6 +177,12 @@ class FbpSolution:
     def boundaries(self) -> BoundaryCurves:
         """Support edges of the lower-variant profiles."""
         return extract_boundaries(self.times, self.edges)
+
+    @cached_property
+    def edge_lines(self) -> np.ndarray:
+        """edge_lines[k, s] = `_edge_line(windows[k, s])`: slope and
+        intercept, NaN where the window is NaN."""
+        return np.array([[_edge_line(w) for w in ws] for ws in self.windows])
 
     @cached_property
     def refined_boundaries(self) -> BoundaryCurves:
@@ -230,16 +237,13 @@ def solve_reference(initial: ProfilePair, kappa: float, T: float, delta: float,
     kept = sorted(steps)
     widths = np.empty(n + 1)
     edges = np.empty((n + 1, 2))
-    windows = np.full((n + 1, 2, 2, _FIT_CELLS + 1), math.nan)
+    windows = np.empty((n + 1, 2, 2, _FIT_CELLS + 1))
     minus, plus = [], []
     for k, lo, hi in _lockstep(initial, kappa, n, delta):
         widths[k] = l1_distance_u(lo, hi)
-        U, V = support_edges(lo)
-        edges[k] = U, V
-        if not math.isnan(U):
-            windows[k, 0] = _edge_window(lo.u, lo.grid, U)
-        if not math.isnan(V):
-            windows[k, 1] = _edge_window(lo.v[::-1], lo.grid.mirrored(), -V)
+        edges[k] = U, V = support_edges(lo)
+        windows[k] = (_edge_window(lo.u, lo.grid, U),
+                      _edge_window(lo.v[::-1], lo.grid.mirrored(), -V))
         if k in kept:
             minus.append(lo)
             plus.append(hi)
@@ -260,18 +264,17 @@ def reference_profile(initial: ProfilePair, kappa: float, T: float,
 # boundary flux
 
 
-def _window_flux(window: np.ndarray) -> float:
-    """Outward flux -f_r/2 from the near-edge line of an `_edge_window`."""
-    line = _edge_line(window)
-    if line is None:
+def _outward_flux(slopes: np.ndarray) -> np.ndarray:
+    """Outward flux -f_r/2 from near-edge line slopes; NaN ones raise."""
+    if np.isnan(slopes).any():
         raise FbpError("not enough interior nodes for the flux fit")
-    return -0.5 * float(line[0])
+    return -0.5 * slopes
 
 
 def boundary_flux_u(p: ProfilePair, U_r: float) -> float:
     """Outward flux -u_r/2 at u's right edge U_r, from the near-edge line;
     v's flux v_r/2 at V_r is boundary_flux_u(p.mirrored(), -V_r)."""
-    return _window_flux(_edge_window(p.u, p.grid, U_r))
+    return float(_outward_flux(_edge_line(_edge_window(p.u, p.grid, U_r)))[0])
 
 
 def flux_series(sol: FbpSolution, t_lo: float, t_hi: float
@@ -280,23 +283,8 @@ def flux_series(sol: FbpSolution, t_lo: float, t_hi: float
     stored step in [t_lo, t_hi]."""
     bd = sol.boundaries
     sel = (bd.times >= t_lo - 1e-12) & (bd.times <= t_hi + 1e-12)
-    ts = bd.times[sel]
-    fu = np.empty(len(ts))
-    fv = np.empty(len(ts))
-    for out_i, k in enumerate(np.nonzero(sel)[0]):
-        fu[out_i] = _window_flux(sol.windows[k, 0])
-        fv[out_i] = _window_flux(sol.windows[k, 1])
-    return ts, fu, fv
-
-
-def _extrapolated_right_zero(window: np.ndarray, edge: float) -> float:
-    """Zero crossing of the near-edge line, clamped to lie at or beyond the
-    support edge."""
-    line = _edge_line(window)
-    if line is None or line[0] >= 0:
-        return edge
-    slope, icept = line
-    return min(max(edge, float(-icept / slope)), edge + 0.5)
+    fu, fv = _outward_flux(sol.edge_lines[sel, :, 0]).T
+    return bd.times[sel], fu, fv
 
 
 def refined_boundary_curves(sol: FbpSolution) -> BoundaryCurves:
@@ -306,14 +294,16 @@ def refined_boundary_curves(sol: FbpSolution) -> BoundaryCurves:
     slope) inside the limiting free boundary, because the cut removes the
     tail chunk that the limit profile still carries.  Extrapolating the
     near-edge linear piece to zero cancels that offset, so the refined
-    curves converge at rate delta instead of sqrt(delta)."""
+    curves converge at rate delta instead of sqrt(delta).  Where a near-edge
+    line does not fall (or is NaN), the raw edge stays."""
     bd = sol.boundaries
-    U = np.empty_like(bd.U)
-    V = np.empty_like(bd.V)
-    for k in range(len(bd.times)):
-        U[k] = _extrapolated_right_zero(sol.windows[k, 0], bd.U[k])
-        V[k] = -_extrapolated_right_zero(sol.windows[k, 1], -bd.V[k])
-    return BoundaryCurves(bd.times.copy(), U, V)
+    # columns: u's right edge, and v's in the mirrored frame
+    edge = np.stack([bd.U, -bd.V], axis=1)
+    slope, icept = sol.edge_lines[..., 0], sol.edge_lines[..., 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        zero = np.minimum(np.maximum(edge, -icept / slope), edge + 0.5)
+    refined = np.where(slope < 0, zero, edge)
+    return BoundaryCurves(bd.times.copy(), refined[:, 0], -refined[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +454,7 @@ def mc_validate(sol: FbpSolution, t: float, n_paths: int,
     each), z the estimate's distance from its target in standard errors.
     """
     p0, bd, ref = _side_data(sol, side, t)
-    mass0 = float(node_weights(p0.grid) @ p0.u)
+    mass0 = p0.mass_u
     kappa_t = sol.kappa * t
 
     n0 = n_paths

@@ -87,8 +87,8 @@ class ProfilePair:
     grid: GridSpec
     u: np.ndarray
     v: np.ndarray
-    mass_u: float = field(default=None)  # type: ignore[assignment]
-    mass_v: float = field(default=None)  # type: ignore[assignment]
+    mass_u: float = field(init=False)
+    mass_v: float = field(init=False)
 
     def __post_init__(self):
         self.u = np.asarray(self.u, dtype=float)
@@ -100,10 +100,8 @@ class ProfilePair:
                 and self.u.max() < math.inf and self.v.max() < math.inf):
             raise ProfileError("profile samples must be finite and nonnegative")
         w = node_weights(self.grid)
-        if self.mass_u is None:
-            self.mass_u = float(w @ self.u)
-        if self.mass_v is None:
-            self.mass_v = float(w @ self.v)
+        self.mass_u = float(w @ self.u)
+        self.mass_v = float(w @ self.v)
 
     @property
     def total_mass(self) -> float:
@@ -114,9 +112,9 @@ class ProfilePair:
 
     def mirrored(self) -> "ProfilePair":
         """The pair reflected through r = 0 with the species swapped (fresh
-        arrays, masses kept): a v-side computation is the u-side one on it."""
+        arrays): a v-side computation is the u-side one on it."""
         return ProfilePair(self.grid.mirrored(), self.v[::-1].copy(),
-                           self.u[::-1].copy(), self.mass_v, self.mass_u)
+                           self.u[::-1].copy())
 
 
 @dataclass(frozen=True)

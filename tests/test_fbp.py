@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twospecies import fbp, macro
 from twospecies.fbp import FbpError
@@ -245,6 +247,96 @@ class TestRefinedBoundaries:
         # the sharp cut leaves a visible strip at this coarse step size
         assert bd.U[-1] > sup.U[-1] + 0.01
         assert np.allclose(bd.U + bd.V, 0.5, atol=1e-6)
+
+
+class TestViewEdgeCases:
+    """The views over a record with a missing u window at step 3 and a
+    rising v line at step 7."""
+
+    @pytest.fixture(scope="class")
+    def edited(self, coarse_sol):
+        windows = coarse_sol.windows.copy()
+        windows[3, 0] = np.nan
+        windows[7, 1, 1] = windows[7, 1, 1, ::-1].copy()
+        assert np.polyfit(*coarse_sol.windows[7, 1], 1)[0] < 0
+        assert np.polyfit(*windows[7, 1], 1)[0] > 0
+        return dataclasses.replace(coarse_sol, windows=windows)
+
+    def test_refined_edge_falls_back_to_the_raw_edge(self, coarse_sol,
+                                                     edited):
+        raw, want = coarse_sol.boundaries, coarse_sol.refined_boundaries
+        got = fbp.refined_boundary_curves(edited)
+        # both steps are refined off the raw edge when the record is intact
+        assert want.U[3] > raw.U[3] and want.V[7] < raw.V[7]
+        assert got.U[3] == raw.U[3] and got.V[7] == raw.V[7]
+        U, V = want.U.copy(), want.V.copy()
+        U[3], V[7] = raw.U[3], raw.V[7]
+        assert np.array_equal(got.U, U) and np.array_equal(got.V, V)
+        assert np.array_equal(got.times, want.times)
+
+    @pytest.mark.parametrize("t_lo, t_hi", [(0.0, 0.1), (0.03, 0.03),
+                                            (0.02, 0.05)])
+    def test_flux_over_a_missing_window_raises(self, edited, t_lo, t_hi):
+        with pytest.raises(FbpError, match="flux fit"):
+            fbp.flux_series(edited, t_lo, t_hi)
+
+    @pytest.mark.parametrize("t_lo, t_hi", [(0.0, 0.02), (0.04, 0.06),
+                                            (0.08, 0.1)])
+    def test_flux_away_from_the_edits_is_unchanged(self, coarse_sol, edited,
+                                                   t_lo, t_hi):
+        for got, want in zip(fbp.flux_series(edited, t_lo, t_hi),
+                             fbp.flux_series(coarse_sol, t_lo, t_hi),
+                             strict=True):
+            assert len(want) > 0 and np.array_equal(got, want)
+
+
+ASYMMETRIC_GRID = GridSpec(-2.0, 3.0, 1000)
+ASYMMETRIC = ProfilePair(ASYMMETRIC_GRID,
+                         macro.tent(ASYMMETRIC_GRID, -1.2, 0.6, 1.4),
+                         macro.tent(ASYMMETRIC_GRID, 0.1, 1.9, 0.7))
+
+
+@st.composite
+def asymmetric_tent_pairs(draw):
+    """Overlapping tents L < D < R < E on [-2, 3], with masses drawn apart:
+    unlike `macro.tent_pair()`, such a pair is almost never its own mirror
+    image."""
+    L = draw(st.floats(-1.6, -0.8))
+    D = draw(st.floats(-0.3, 0.3))
+    R = draw(st.floats(0.45, 0.9))
+    E = draw(st.floats(1.2, 2.0))
+    mass_u = draw(st.floats(0.5, 2.0))
+    mass_v = draw(st.floats(0.5, 2.0))
+    return ProfilePair(ASYMMETRIC_GRID,
+                       macro.tent(ASYMMETRIC_GRID, L, R, mass_u),
+                       macro.tent(ASYMMETRIC_GRID, D, E, mass_v))
+
+
+class TestMirrorEquivariance:
+    @given(asymmetric_tent_pairs(), st.sampled_from([0.005, 0.01, 0.025, 0.05]),
+           st.integers(4, 20))
+    @example(ASYMMETRIC, 0.005, 100)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=12)
+    def test_mirrored_solve_swaps_the_sides(self, p, delta, n_steps):
+        T = delta * n_steps
+        sol = fbp.solve_reference(p, 0.5, T, delta)
+        mir = fbp.solve_reference(p.mirrored(), 0.5, T, delta)
+        for bd, bm in ((sol.boundaries, mir.boundaries),
+                       (sol.refined_boundaries, mir.refined_boundaries)):
+            assert np.allclose(bd.U, -bm.V, rtol=0, atol=1e-10)
+            assert np.allclose(bd.V, -bm.U, rtol=0, atol=1e-10)
+        _, fu, fv = fbp.flux_series(sol, 0.0, T)
+        _, fu_m, fv_m = fbp.flux_series(mir, 0.0, T)
+        assert np.allclose(fu, fv_m, rtol=0, atol=1e-10)
+        assert np.allclose(fv, fu_m, rtol=0, atol=1e-10)
+
+    def test_the_sides_differ_on_the_asymmetric_datum(self):
+        # so a v view that read u's line could not pass the test above
+        sol = fbp.solve_reference(ASYMMETRIC, 0.5, 0.5, 0.005)
+        _, fu, fv = fbp.flux_series(sol, 0.1, 0.5)
+        assert np.all(np.abs(fu - fv) > 0.01)
+        bd = sol.refined_boundaries
+        assert np.all(np.abs(bd.U + bd.V - 0.5) > 0.01)
 
 
 def reference_simulate_absorbed(starts_x, starts_t, t_end, upper, dt, rng):

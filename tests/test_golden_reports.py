@@ -7,6 +7,10 @@ were written by the code before such a change, never by the change itself;
 to record them from another checkout of the package, run
 
     PYTHONPATH=<that checkout>/src python tests/test_golden_reports.py
+
+which refuses to record (exit 1) when twospecies is imported from this
+checkout's own src/.  The "-asymmetric" cases run on a datum that is not its
+own mirror image, so a v side that reads u's data changes their reports.
 """
 import json
 import math
@@ -20,6 +24,10 @@ from twospecies import lattice
 from twospecies.cli import main
 
 GOLDEN = Path(__file__).with_name("golden")
+
+# a class-U datum that is not its own mirror image, unlike the default tents
+ASYMMETRIC = {"grid": {"r_min": -2.0, "r_max": 3.0, "n_cells": 1000},
+              "u_tent": [-1.2, 0.6, 1.4], "v_tent": [0.1, 1.9, 0.7]}
 
 # name: (subcommand, config, --seeds); few particles and a fast clock, so
 # that some replicas leave the survival set and some flip an absent species
@@ -38,6 +46,16 @@ CASES = {
     "hydro-compare": ("hydro-compare", {
         "epsilon": 0.05, "kappa": 0.5, "horizon_T": 0.5, "seed": 3,
         "delta_ref": 0.05, "threshold": 0.5}, 3),
+    "barriers-asymmetric": ("barriers", {
+        "kappa": 0.5, "delta": 0.05, "horizon_T": 0.5,
+        "profile": ASYMMETRIC}, 1),
+    "fbp-asymmetric": ("fbp", {
+        "kappa": 0.5, "delta": 0.01, "horizon_T": 0.2,
+        "mc": {"t": 0.1, "n_paths": 2000, "seed": 1, "dt": 0.001,
+               "z_max": 4.0}, "profile": ASYMMETRIC}, 1),
+    "hydro-compare-asymmetric": ("hydro-compare", {
+        "epsilon": 0.05, "kappa": 0.5, "horizon_T": 0.5, "seed": 3,
+        "delta_ref": 0.05, "threshold": 0.5, "profile": ASYMMETRIC}, 3),
 }
 
 
@@ -92,6 +110,10 @@ def test_mismatches_sees_floats_keys_and_types():
 
 
 if __name__ == "__main__":
+    own_src = Path(__file__).resolve().parents[1] / "src"
+    if Path(lattice.__file__).resolve().parents[1] == own_src:
+        sys.exit("refusing to record: twospecies is imported from this "
+                 "checkout's src/; put another checkout's src/ on PYTHONPATH")
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name in CASES:

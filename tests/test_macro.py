@@ -65,6 +65,14 @@ class TestGrids:
         with pytest.raises(ValueError):
             w[0] = 1.0
 
+    def test_profile_masses_come_from_the_samples(self, rng):
+        p = random_class_u_pair(rng)
+        for q in (p, p.mirrored(), p.copy()):
+            w = macro.node_weights(q.grid)
+            assert (q.mass_u, q.mass_v) == (float(w @ q.u), float(w @ q.v))
+        with pytest.raises(TypeError):
+            ProfilePair(p.grid, p.u, p.v, 1.0, 1.0)
+
     def test_profile_mirror_is_an_involution(self, rng):
         p = random_class_u_pair(rng)
         m = p.mirrored()
