@@ -445,15 +445,15 @@ def _first_meeting(real: PositionRealization, pr: tuple[int, int],
 
 
 def couple_block(cs: CoupledState, real: PositionRealization, block: EventLog,
-                 t_lo: float, t_hi: float, protocol: str,
-                 exchange_copy: int) -> None:
+                 t_lo: float, t_hi: float, protocol: str) -> None:
     """Run one block of the two-copy protocol on shared walks.
 
     'early' gives all of the block's flips to copy 1 at the block start
     (frozen positions) and lets copy 2 flip at the ring times during the
     motion; 'late' lets copy 1 flip at the ring times and gives copy 2 all
     flips at the block end.  A pair is dissolved at the first meeting of
-    its members via a same-site color swap in the chosen copy.
+    its members via a same-site color swap in the copy that flips in one
+    batch, so the copy that flips at the ring times keeps its colors.
 
     Between two rings the pairs change only by dissolution, so the walks
     are read per alive pair and per interval between rings, never jump by
@@ -465,6 +465,7 @@ def couple_block(cs: CoupledState, real: PositionRealization, block: EventLog,
     """
     if protocol not in ("early", "late"):
         raise CouplingError(f"protocol must be 'early' or 'late', got {protocol!r}")
+    exchange_copy = 1 if protocol == "early" else 2
     if len(block) and not t_lo < block.times[0] <= block.times[-1] <= t_hi:
         raise CouplingError(f"ring times must lie in ({t_lo}, {t_hi}]")
     times = np.concatenate([[t_lo], block.times, [t_hi]])
@@ -538,11 +539,9 @@ def _sandwich_seed(cfg: SimConfig, profile: ProfilePair, K: int,
         block = log.restrict(t_k, t_next)
         try:
             cs_p = CoupledState(true_k.positions, plus_colors, true_k.colors)
-            couple_block(cs_p, real, block, t_k, t_next, "early",
-                         exchange_copy=1)
+            couple_block(cs_p, real, block, t_k, t_next, "early")
             cs_m = CoupledState(true_k.positions, true_k.colors, minus_colors)
-            couple_block(cs_m, real, block, t_k, t_next, "late",
-                         exchange_copy=2)
+            couple_block(cs_m, real, block, t_k, t_next, "late")
         except (CouplingError, SplittingFault) as exc:
             violations.append(f"seed {rep}, block {k}: {exc}")
             break

@@ -31,7 +31,8 @@ class FbpError(ProfileError):
     pass
 
 
-# Supports end where the density falls to EDGE_FRAC of the pair's peak;
+# Supports end where the density falls to EDGE_FRAC of the pair's peak
+# (mc_validate's intervals start at EDGE_FRAC of the side's own peak);
 # near-edge lines fit _FIT_CELLS cells ending _FIT_SKIP cells inside the
 # edge; mc_validate checks N_INTERVALS equal-mass intervals per side.
 EDGE_FRAC = 1e-6
@@ -65,11 +66,11 @@ class BoundaryCurves:
 def _right_edge(f: np.ndarray, grid: GridSpec, thr: float) -> float:
     """Rightmost threshold crossing of f, linearly interpolated; NaN when f
     never exceeds thr."""
-    idx = np.nonzero(f > thr)[0]
-    if len(idx) == 0:
+    supp = macro.support(f > thr)
+    if supp is None:
         return math.nan
-    j = int(idx[-1])
-    node = grid.r_min + grid.h * j  # grid.nodes()[j], bit for bit
+    j = supp[1]
+    node = grid.node(j)
     if j == grid.n_nodes - 1:
         return node
     lam = (f[j] - thr) / max(f[j] - f[j + 1], 1e-300)
@@ -109,14 +110,11 @@ def _edge_window(f: np.ndarray, grid: GridSpec, edge: float) -> np.ndarray:
     """Nodes (row 0) and samples (row 1) of the _FIT_CELLS cells of f that
     end _FIT_SKIP cells inside its right edge: a fresh (2, _FIT_CELLS + 1)
     array, NaN for a NaN edge or when the grid leaves no room for the fit."""
-    hi = (-1 if math.isnan(edge)
-          else int(math.floor((edge - grid.r_min) / grid.h)) - _FIT_SKIP)
+    hi = -1 if math.isnan(edge) else grid.cell(edge) - _FIT_SKIP
     lo = hi - _FIT_CELLS
     if lo < 0:
         return np.full((2, _FIT_CELLS + 1), math.nan)
-    # the nodes are grid.nodes()[lo:hi + 1], bit for bit
-    return np.stack([grid.r_min + grid.h * np.arange(lo, hi + 1),
-                     f[lo:hi + 1]])
+    return np.stack([grid.node(np.arange(lo, hi + 1)), f[lo:hi + 1]])
 
 
 def _edge_line(window: np.ndarray) -> np.ndarray:
@@ -271,12 +269,6 @@ def _outward_flux(slopes: np.ndarray) -> np.ndarray:
     return -0.5 * slopes
 
 
-def boundary_flux_u(p: ProfilePair, U_r: float) -> float:
-    """Outward flux -u_r/2 at u's right edge U_r, from the near-edge line;
-    v's flux v_r/2 at V_r is boundary_flux_u(p.mirrored(), -V_r)."""
-    return float(_outward_flux(_edge_line(_edge_window(p.u, p.grid, U_r)))[0])
-
-
 def flux_series(sol: FbpSolution, t_lo: float, t_hi: float
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Boundary fluxes of u and v from the lower-variant profiles at every
@@ -420,7 +412,7 @@ def _sample_from_density(f: np.ndarray, grid: GridSpec, n: int,
     w = node_weights(grid) * np.asarray(f, float)
     w = np.clip(w, 0.0, None)
     idx = rng.choice(grid.n_nodes, size=n, p=w / w.sum())
-    return grid.nodes()[idx] + grid.h * (rng.random(n) - 0.5)
+    return grid.node(idx) + grid.h * (rng.random(n) - 0.5)
 
 
 def _z(estimate: float, target: float, se: float) -> float:
@@ -467,8 +459,7 @@ def mc_validate(sol: FbpSolution, t: float, n_paths: int,
     # reference interval masses on the midpoint profile; the intervals carry
     # equal reference mass so no bin is starved of paths
     peak = float(np.max(ref.u))
-    supp = np.nonzero(ref.u > EDGE_FRAC * peak)[0]
-    r_lo = float(ref.grid.nodes()[supp[0]])
+    r_lo = ref.grid.node(macro.support(ref.u > EDGE_FRAC * peak)[0])
     r_hi = float(bd.U_at(t))
     nodes = ref.grid.nodes()
     inside = (nodes > r_lo) & (nodes < r_hi)

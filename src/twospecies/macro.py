@@ -56,8 +56,16 @@ class GridSpec:
     def n_nodes(self) -> int:
         return self.n_cells + 1
 
+    def node(self, j):
+        """Coordinate r_min + h * j of node j (an int or an int array)."""
+        return self.r_min + self.h * j
+
     def nodes(self) -> np.ndarray:
-        return self.r_min + self.h * np.arange(self.n_nodes)
+        return self.node(np.arange(self.n_nodes))
+
+    def cell(self, r):
+        """Index floor((r - r_min) / h) of the cell holding r (or an array)."""
+        return np.floor((r - self.r_min) / self.h).astype(int)
 
     def extended(self, n_left: int, n_right: int) -> "GridSpec":
         """Append cells on either side; spacing and node alignment unchanged."""
@@ -136,19 +144,18 @@ def tail_integral(f: np.ndarray, grid: GridSpec, r) -> float | np.ndarray:
     r <= r_min.
     """
     f = np.asarray(f, dtype=float)
-    nodes = grid.nodes()
+    first, last = grid.node(0), grid.node(grid.n_cells)
     h = grid.h
     tails = tail_curve(f, grid)
 
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    rc = np.minimum(np.maximum(r_arr, nodes[0]), nodes[-1])
-    i = np.minimum(np.maximum(((rc - grid.r_min) / h).astype(int), 0),
-                   grid.n_cells - 1)
-    lam = (rc - nodes[i]) / h
+    rc = np.minimum(np.maximum(r_arr, first), last)
+    i = np.minimum(np.maximum(grid.cell(rc), 0), grid.n_cells - 1)
+    lam = (rc - grid.node(i)) / h
     fr = (1 - lam) * f[i] + lam * f[i + 1]
-    out = tails[i + 1] + 0.5 * (nodes[i + 1] - rc) * (fr + f[i + 1])
-    out = np.where(r_arr >= nodes[-1], 0.0, out)
-    out = np.where(r_arr <= nodes[0], tails[0], out)
+    out = tails[i + 1] + 0.5 * (grid.node(i + 1) - rc) * (fr + f[i + 1])
+    out = np.where(r_arr >= last, 0.0, out)
+    out = np.where(r_arr <= first, tails[0], out)
     return out if np.ndim(r) else float(out[0])
 
 
@@ -192,7 +199,7 @@ def _invert_tail(f: np.ndarray, grid: GridSpec, target: float) -> float:
         # f1 = 0 and disc underflowed (densities below about 1e-154); the
         # cell carries mass, so f0 > 0 and the tail is s^2 f0 / (2h)
         s = math.sqrt(2.0 * h * c / f0)
-    return grid.r_min + h * (j + 1) - min(s, h)
+    return grid.node(j + 1) - min(s, h)
 
 
 def _invert_head(f: np.ndarray, grid: GridSpec, target: float) -> float:
@@ -246,11 +253,13 @@ def split_head(f: np.ndarray, grid: GridSpec, mass: float) -> tuple[np.ndarray, 
 # class-U validation
 
 
-def _support_interval(f: np.ndarray, thr: float) -> tuple[int, int] | None:
-    idx = np.nonzero(f > thr)[0]
-    if len(idx) == 0:
+def support(mask: np.ndarray) -> tuple[int, int] | None:
+    """First and last index where the boolean mask holds; None where it
+    holds nowhere."""
+    first = int(mask.argmax()) if mask.size else 0
+    if not (mask.size and mask[first]):
         return None
-    return int(idx[0]), int(idx[-1])
+    return first, mask.size - 1 - int(mask[::-1].argmax())
 
 
 def validate_class_U(p: ProfilePair) -> list[str]:
@@ -260,10 +269,10 @@ def validate_class_U(p: ProfilePair) -> list[str]:
     peak = max(float(p.u.max(initial=0.0)), float(p.v.max(initial=0.0)))
     thr = 1e-12 * peak
     violations: list[str] = []
-    nodes = p.grid.nodes()
+    last = p.grid.n_cells
 
-    su = _support_interval(p.u, thr)
-    sv = _support_interval(p.v, thr)
+    su = support(p.u > thr)
+    sv = support(p.v > thr)
     if su is None:
         violations.append("u has empty support")
     if sv is None:
@@ -273,12 +282,12 @@ def validate_class_U(p: ProfilePair) -> list[str]:
         i0, i1 = su
         if np.any(p.u[i0:i1 + 1] <= thr):
             violations.append("u vanishes inside its support interval")
-        L, R = float(nodes[max(i0 - 1, 0)]), float(nodes[min(i1 + 1, len(nodes) - 1)])
+        L, R = p.grid.node(max(i0 - 1, 0)), p.grid.node(min(i1 + 1, last))
     if sv is not None:
         j0, j1 = sv
         if np.any(p.v[j0:j1 + 1] <= thr):
             violations.append("v vanishes inside its support interval")
-        D, E = float(nodes[max(j0 - 1, 0)]), float(nodes[min(j1 + 1, len(nodes) - 1)])
+        D, E = p.grid.node(max(j0 - 1, 0)), p.grid.node(min(j1 + 1, last))
     if su is not None and sv is not None:
         if not (L < D < R < E):
             violations.append(
@@ -355,11 +364,10 @@ def gauss_convolve_samples(f: np.ndarray, grid: GridSpec, t: float
     k = gauss_kernel(grid.h, t)
     width = len(k) - 1
     out = np.zeros(len(f) + width)
-    nz = f != 0
-    first = int(nz.argmax())
-    if nz[first]:
-        lo = max(first - width, 0)
-        hi = min(len(f) - int(nz[::-1].argmax()) + width, len(f))
+    nz = support(f != 0)
+    if nz is not None:
+        lo = max(nz[0] - width, 0)
+        hi = min(nz[1] + 1 + width, len(f))
         out[lo:hi + width] = np.convolve(f[lo:hi], k, mode="full")
     return out, grid.extended(width // 2, width // 2)
 
@@ -369,16 +377,15 @@ def _trim(u: np.ndarray, v: np.ndarray, grid: GridSpec, lo_limit: int, hi_limit:
     """Drop appended nodes that stayed numerically zero; never trims inside
     [lo_limit, hi_limit] (indices of the pre-extension extent)."""
     peak = max(float(u.max(initial=0.0)), float(v.max(initial=0.0)), 1e-300)
-    keep = np.nonzero((u > 1e-15 * peak) | (v > 1e-15 * peak))[0]
-    if len(keep) == 0:
+    keep = support((u > 1e-15 * peak) | (v > 1e-15 * peak))
+    if keep is None:
         lo, hi = lo_limit, hi_limit
     else:
-        lo = min(int(keep[0]) - 2, lo_limit)
-        hi = max(int(keep[-1]) + 2, hi_limit)
+        lo = min(keep[0] - 2, lo_limit)
+        hi = max(keep[1] + 2, hi_limit)
     lo = max(lo, 0)
     hi = min(hi, len(u) - 1)
-    h = grid.h
-    new_grid = GridSpec(grid.r_min + lo * h, grid.r_min + hi * h, hi - lo)
+    new_grid = GridSpec(grid.node(lo), grid.node(hi), hi - lo)
     return u[lo:hi + 1].copy(), v[lo:hi + 1].copy(), new_grid
 
 

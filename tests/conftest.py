@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from twospecies import macro
 
@@ -88,3 +89,26 @@ def mod_m_pair(rng):
             continue
         p2 = macro.apply_cut(p, q1)
         return p1, p2, m
+
+
+# a class-U datum that is not its own mirror image, unlike the default tents
+ASYMMETRIC_GRID = macro.GridSpec(-2.0, 3.0, 1000)
+ASYMMETRIC = macro.ProfilePair(ASYMMETRIC_GRID,
+                               macro.tent(ASYMMETRIC_GRID, -1.2, 0.6, 1.4),
+                               macro.tent(ASYMMETRIC_GRID, 0.1, 1.9, 0.7))
+
+
+@st.composite
+def asymmetric_tent_pairs(draw):
+    """Overlapping tents L < D < R < E on [-2, 3], with masses drawn apart:
+    unlike `macro.tent_pair()`, such a pair is almost never its own mirror
+    image."""
+    L = draw(st.floats(-1.6, -0.8))
+    D = draw(st.floats(-0.3, 0.3))
+    R = draw(st.floats(0.45, 0.9))
+    E = draw(st.floats(1.2, 2.0))
+    mass_u = draw(st.floats(0.5, 2.0))
+    mass_v = draw(st.floats(0.5, 2.0))
+    return macro.ProfilePair(ASYMMETRIC_GRID,
+                             macro.tent(ASYMMETRIC_GRID, L, R, mass_u),
+                             macro.tent(ASYMMETRIC_GRID, D, E, mass_v))

@@ -68,6 +68,11 @@ def reference_couple_block(cs, real, block, t_lo, t_hi, protocol,
         raise SplittingFault("positions drifted from the stored realization")
 
 
+# the copy that takes a block's flips in one batch absorbs its same-site
+# swaps: couple_block derives it from the protocol
+BATCH_COPY = {"early": 1, "late": 2}
+
+
 def block_outcome(run, cs, *args):
     """Everything a couple_block call leaves, or the error it raises; cs is
     not touched."""
@@ -445,9 +450,7 @@ class TestBalance:
 
 class TestCoupleBlock:
     @pytest.mark.parametrize("protocol", ["early", "late"])
-    @pytest.mark.parametrize("exchange_copy", [1, 2])
-    def test_matches_the_jump_by_jump_reference(self, rng, protocol,
-                                                exchange_copy):
+    def test_matches_the_jump_by_jump_reference(self, rng, protocol):
         # a block inside a longer realization, rings partly at jump times
         # (a jump at a ring's time comes before the ring's flip)
         paired = 0
@@ -477,9 +480,10 @@ class TestCoupleBlock:
             order = np.argsort(times)
             block = lattice.EventLog(times[order], marks)
             cs = CoupledState(x, sigma, sigma_p)
-            args = (real, block, t_lo, t_hi, protocol, exchange_copy)
+            args = (real, block, t_lo, t_hi, protocol)
             got = block_outcome(coupling.couple_block, cs, *args)
-            assert got == block_outcome(reference_couple_block, cs, *args)
+            assert got == block_outcome(reference_couple_block, cs, *args,
+                                        BATCH_COPY[protocol])
             coupling.build_splitting(cs)
             paired += bool(cs.pairs)
         assert paired >= 50
@@ -488,13 +492,13 @@ class TestCoupleBlock:
         blocks = []
         fast = coupling.couple_block
 
-        def both(cs, real, block, t_lo, t_hi, protocol, exchange_copy):
-            for ex in (1, 2):
-                args = (real, block, t_lo, t_hi, protocol, ex)
-                assert (block_outcome(fast, cs, *args)
-                        == block_outcome(reference_couple_block, cs, *args))
+        def both(cs, real, block, t_lo, t_hi, protocol):
+            args = (real, block, t_lo, t_hi, protocol)
+            assert (block_outcome(fast, cs, *args)
+                    == block_outcome(reference_couple_block, cs, *args,
+                                     BATCH_COPY[protocol]))
             blocks.append(protocol)
-            return fast(cs, real, block, t_lo, t_hi, protocol, exchange_copy)
+            return fast(cs, *args)
 
         monkeypatch.setattr(coupling, "couple_block", both)
         cfg = lattice.SimConfig(epsilon=0.1, kappa=1.0, horizon_T=1.0, seed=5)
@@ -519,10 +523,11 @@ class TestCoupleBlock:
         monkeypatch.setattr(coupling, "_dissolve_pair", counting)
         cs = cs_of([1, 0], [A, B], [B, A])
         coupling.couple_block(cs, real, lattice.EventLog([], []), 0.0, 4.0,
-                              "early", exchange_copy=2)
+                              "early")
         assert dissolved == [(1, 2)]
-        assert not cs.pairs and cs.singles == {1: A, 2: B}
-        assert list(cs.sigma_prime) == [A, B]
+        # under 'early' the swap goes to copy 1, the batch copy
+        assert not cs.pairs and cs.singles == {1: B, 2: A}
+        assert list(cs.sigma) == [B, A]
         assert list(cs.positions) == [1, 2]
 
     @pytest.mark.parametrize("x0, sigma, sigma_p, jumps, pairs", [
@@ -536,10 +541,11 @@ class TestCoupleBlock:
     def test_simultaneous_jumps_in_time_label_step_order(
             self, x0, sigma, sigma_p, jumps, pairs):
         real = frozen_walks(x0, jumps, 2.0)
-        args = (real, lattice.EventLog([], []), 0.0, 2.0, "early", 2)
+        args = (real, lattice.EventLog([], []), 0.0, 2.0, "early")
         cs = cs_of(x0, sigma, sigma_p)
         got = block_outcome(coupling.couple_block, cs, *args)
-        assert got == block_outcome(reference_couple_block, cs, *args)
+        assert got == block_outcome(reference_couple_block, cs, *args,
+                                    BATCH_COPY["early"])
         assert got[0] == pairs
 
     @pytest.mark.parametrize("meets", [True, False])
@@ -553,8 +559,7 @@ class TestCoupleBlock:
                             2.0)
         block = lattice.EventLog([1.0], [RIGHT])
         cs = cs_of([2, 0, -5], [A, A, B], [A, A, B])
-        coupling.couple_block(cs, real, block, 0.0, 2.0, "early",
-                              exchange_copy=1)
+        coupling.couple_block(cs, real, block, 0.0, 2.0, "early")
         assert not cs.disc_I and not cs.disc_J
         if meets:
             assert not cs.pairs
@@ -571,8 +576,7 @@ class TestCoupleBlock:
                                                  (2.5, 1)]], 3.0)
         block = lattice.EventLog([2.0], [RIGHT])
         cs = cs_of([1, 0, 5], [A, B, A], [B, A, A])
-        coupling.couple_block(cs, real, block, 0.0, 3.0, "late",
-                              exchange_copy=2)
+        coupling.couple_block(cs, real, block, 0.0, 3.0, "late")
         assert cs.pairs == {(1, 2)}
         assert list(cs.positions) == [1, 0, 4]
         coupling.check_splitting(cs)
@@ -582,7 +586,7 @@ class TestCoupleBlock:
         cs = cs_of([2, 1, 6], [A, B, A], [B, A, A])
         with pytest.raises(SplittingFault, match="drifted"):
             coupling.couple_block(cs, real, lattice.EventLog([], []), 0.0,
-                                  3.0, "early", exchange_copy=1)
+                                  3.0, "early")
 
     @pytest.mark.parametrize("ring", [0.0, 3.5])
     def test_rings_outside_the_block_rejected(self, ring):
@@ -590,7 +594,7 @@ class TestCoupleBlock:
         cs = cs_of([1, 0], [A, B], [B, A])
         with pytest.raises(CouplingError, match="ring times"):
             coupling.couple_block(cs, real, lattice.EventLog([ring], [LEFT]),
-                                  0.0, 3.0, "late", exchange_copy=2)
+                                  0.0, 3.0, "late")
 
 
 class TestSandwich:

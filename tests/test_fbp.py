@@ -11,7 +11,7 @@ from twospecies import fbp, macro
 from twospecies.fbp import FbpError
 from twospecies.macro import GridSpec, ProfilePair
 
-from conftest import random_class_u_pair
+from conftest import ASYMMETRIC, asymmetric_tent_pairs, random_class_u_pair
 
 
 @pytest.fixture(scope="module")
@@ -214,22 +214,28 @@ class TestMirror:
             assert abs(V - left_edge(p.v, p.grid, thr)) <= 1e-12
 
 
+def edge_flux(p, edge):
+    """Outward flux of u at its right edge through the chain `flux_series`
+    reads: window, fitted line, -slope/2."""
+    line = fbp._edge_line(fbp._edge_window(p.u, p.grid, edge))
+    return float(fbp._outward_flux(line)[0])
+
+
 class TestFlux:
     def test_linear_profiles_give_half_the_slope(self):
         grid = GridSpec(0.0, 1.0, 100)
         r = grid.nodes()
         p = ProfilePair(grid, np.clip(1.0 - r, 0.0, None),
                         np.clip(r, 0.0, None))
-        assert fbp.boundary_flux_u(p, 1.0) == pytest.approx(0.5, abs=1e-9)
+        assert edge_flux(p, 1.0) == pytest.approx(0.5, abs=1e-9)
         # v's outward flux v_r/2 at its left edge 0, read on the mirror
-        assert fbp.boundary_flux_u(p.mirrored(), -0.0) == pytest.approx(
-            0.5, abs=1e-9)
+        assert edge_flux(p.mirrored(), -0.0) == pytest.approx(0.5, abs=1e-9)
 
     def test_flux_fit_needs_interior_room(self):
         grid = GridSpec(0.0, 1.0, 100)
         p = ProfilePair(grid, np.ones(grid.n_nodes), np.ones(grid.n_nodes))
         with pytest.raises(FbpError):
-            fbp.boundary_flux_u(p, 0.03)
+            edge_flux(p, 0.03)
 
     def test_series_tracks_the_exchange_rate(self, coarse_sol):
         ts, fu, fv = fbp.flux_series(coarse_sol, 0.05, 0.1)
@@ -290,28 +296,6 @@ class TestViewEdgeCases:
             assert len(want) > 0 and np.array_equal(got, want)
 
 
-ASYMMETRIC_GRID = GridSpec(-2.0, 3.0, 1000)
-ASYMMETRIC = ProfilePair(ASYMMETRIC_GRID,
-                         macro.tent(ASYMMETRIC_GRID, -1.2, 0.6, 1.4),
-                         macro.tent(ASYMMETRIC_GRID, 0.1, 1.9, 0.7))
-
-
-@st.composite
-def asymmetric_tent_pairs(draw):
-    """Overlapping tents L < D < R < E on [-2, 3], with masses drawn apart:
-    unlike `macro.tent_pair()`, such a pair is almost never its own mirror
-    image."""
-    L = draw(st.floats(-1.6, -0.8))
-    D = draw(st.floats(-0.3, 0.3))
-    R = draw(st.floats(0.45, 0.9))
-    E = draw(st.floats(1.2, 2.0))
-    mass_u = draw(st.floats(0.5, 2.0))
-    mass_v = draw(st.floats(0.5, 2.0))
-    return ProfilePair(ASYMMETRIC_GRID,
-                       macro.tent(ASYMMETRIC_GRID, L, R, mass_u),
-                       macro.tent(ASYMMETRIC_GRID, D, E, mass_v))
-
-
 class TestMirrorEquivariance:
     @given(asymmetric_tent_pairs(), st.sampled_from([0.005, 0.01, 0.025, 0.05]),
            st.integers(4, 20))
@@ -337,6 +321,31 @@ class TestMirrorEquivariance:
         assert np.all(np.abs(fu - fv) > 0.01)
         bd = sol.refined_boundaries
         assert np.all(np.abs(bd.U + bd.V - 0.5) > 0.01)
+
+    @pytest.mark.parametrize("delta, T, t, n_paths", [(0.01, 0.2, 0.1, 2000),
+                                                      (0.005, 0.5, 0.25,
+                                                       20000)])
+    def test_v_side_mc_is_the_u_side_of_the_mirrored_datum(self, delta, T, t,
+                                                           n_paths):
+        sol = fbp.solve_reference(ASYMMETRIC, 0.5, T, delta, keep=[t])
+        mir = fbp.solve_reference(ASYMMETRIC.mirrored(), 0.5, T, delta,
+                                  keep=[t])
+        v = fbp.mc_validate(sol, t, n_paths, np.random.default_rng(9),
+                            side="v", dt=1e-3)
+        u = fbp.mc_validate(mir, t, n_paths, np.random.default_rng(9),
+                            side="u", dt=1e-3)
+        # the same draws on boundaries equal to rounding: equal counts, and
+        # z moves only with the reference masses, equal to rounding
+        assert v["mass"] == u["mass"]
+        assert v["max_abs_z"] == pytest.approx(u["max_abs_z"], rel=1e-12)
+        assert len(v["intervals"]) == len(u["intervals"]) == fbp.N_INTERVALS
+        for iv, iu in zip(v["intervals"], u["intervals"]):
+            assert (iv["estimate"], iv["se"]) == (iu["estimate"], iu["se"])
+            assert iv["reference"] == pytest.approx(iu["reference"], abs=1e-12)
+            assert iv["z"] == pytest.approx(iu["z"], rel=1e-12, abs=1e-12)
+            # v's intervals are reported in the original r
+            assert iv["r_lo"] == pytest.approx(-iu["r_hi"], abs=1e-12)
+            assert iv["r_hi"] == pytest.approx(-iu["r_lo"], abs=1e-12)
 
 
 def reference_simulate_absorbed(starts_x, starts_t, t_end, upper, dt, rng):

@@ -434,6 +434,32 @@ class TestTrajectory:
         assert traj.absent_flip_count == 1
         assert list(traj.state_at(3.0).colors) == [A, B]
 
+    @pytest.mark.parametrize("M", [30, 80])  # both rank_select branches
+    def test_true_run_commutes_with_the_mirror(self, rng, M):
+        # x -> -x, a <-> b, right <-> left on the same jump and ring times;
+        # both marks break ties toward the largest label, so the mirrored
+        # run is the mirror of the run exactly
+        t_end = 2.0
+        for _ in range(5):
+            x0 = rng.integers(-4, 5, size=M)
+            real = PositionRealization.sample(x0, t_end, rng)
+            mirror = PositionRealization(-real.x0, real.jump_times,
+                                         [-s for s in real.steps], t_end)
+            colors = np.where(rng.random(M) < 0.5, A, B)
+            rings = np.sort(rng.uniform(0.0, t_end, 20))
+            marks = np.where(rng.random(20) < 0.5, RIGHT, LEFT)
+            traj = lattice.run_true(ParticleState(x0, colors),
+                                    EventLog(rings, marks), t_end,
+                                    realization=real)
+            mirr = lattice.run_true(ParticleState(-x0, 1 - colors),
+                                    EventLog(rings, 1 - marks), t_end,
+                                    realization=mirror)
+            assert mirr.absent_flip_count == traj.absent_flip_count
+            for t in np.concatenate([np.linspace(0.0, t_end, 81), rings]):
+                here, there = traj.state_at(t), mirr.state_at(t)
+                assert np.array_equal(there.positions, -here.positions)
+                assert np.array_equal(there.colors, 1 - here.colors)
+
     def test_in_X_tally(self):
         log = EventLog(np.array([1.0, 2.0]), np.array([RIGHT, RIGHT]))
         assert not lattice.in_X(2, 4, log, 2.0)

@@ -1,14 +1,17 @@
 """Grid machinery, mass transfers, smoothing and the tail-mass order."""
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twospecies import fbp, macro
 from twospecies.macro import (AnnihilationError, GridSpec, ProfileError,
                               ProfilePair, RepairError)
 
-from conftest import ordered_pair, random_class_u_pair
+from conftest import (ASYMMETRIC, asymmetric_tent_pairs, ordered_pair,
+                      random_class_u_pair)
 
 
 def unit_block_pair(n_cells=100):
@@ -33,6 +36,44 @@ class TestGrids:
         assert ext.h == pytest.approx(grid.h)
         assert ext.r_min == pytest.approx(-0.3)
         assert ext.r_max == pytest.approx(1.2)
+
+    def test_node_and_cell_on_drifted_grids(self, rng):
+        # grids whose r_min and h have drifted off the initial lattice: by
+        # repeated extension, by the trim inside gauss_convolve, and mirrored
+        grids = [GridSpec(-2.5, 3.0, 1100)]
+        for _ in range(40):
+            grids.append(grids[-1].extended(int(rng.integers(0, 30)),
+                                            int(rng.integers(0, 30))))
+        p = ASYMMETRIC
+        for _ in range(40):
+            p = macro.gauss_convolve(p, 0.005)
+            grids.append(p.grid)
+        grids += [g.mirrored() for g in grids]
+        assert len({g.h for g in grids}) > 1  # the spacing did drift
+        for g in grids:
+            nodes = g.nodes()
+            # node j sits at r_min + h * j, evaluated elementwise
+            assert np.array_equal(nodes, g.r_min + g.h * np.arange(g.n_nodes))
+            for j in (0, g.n_cells, *rng.integers(0, g.n_nodes, 20).tolist()):
+                assert g.node(j) == nodes[j]
+            idx = rng.integers(0, g.n_nodes, 50)
+            assert np.array_equal(g.node(idx), nodes[idx])
+            rs = np.concatenate([nodes[idx],
+                                 rng.uniform(g.r_min, g.r_max, 50)])
+            cells = [math.floor((r - g.r_min) / g.h) for r in rs.tolist()]
+            assert [g.cell(r) for r in rs.tolist()] == cells
+            assert g.cell(rs).tolist() == cells
+
+    def test_support_matches_nonzero(self, rng):
+        masks = [[], [False] * 5, [True] * 5, [True] + [False] * 4,
+                 [False] * 4 + [True], [True]]
+        masks += [rng.random(int(rng.integers(1, 40))) < rng.random()
+                  for _ in range(500)]
+        for mask in masks:
+            mask = np.array(mask, dtype=bool)
+            idx = np.nonzero(mask)[0]
+            want = (int(idx[0]), int(idx[-1])) if len(idx) else None
+            assert macro.support(mask) == want
 
     def test_invalid_grid_rejected(self):
         with pytest.raises(ProfileError):
@@ -453,6 +494,25 @@ class TestBarriers:
         hi = macro.iterate_barriers(p0, 0.05, 0.5, 6, "plus")[-1]
         gap, _ = macro.order_gap(lo, hi)
         assert gap <= 1e-9
+
+    @given(asymmetric_tent_pairs(), st.sampled_from(["minus", "plus"]),
+           st.integers(1, 30))
+    @example(ASYMMETRIC, "minus", 100)
+    @example(ASYMMETRIC, "plus", 100)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=10)
+    def test_barrier_step_commutes_with_the_mirror(self, p, variant,
+                                                   n_steps):
+        # the v side of a step is the u side of the mirrored pair; the
+        # mirrored grids drift apart only by rounding
+        for _ in range(n_steps):
+            a = macro.barrier_step(p.mirrored(), 0.005, 0.5, variant)
+            p = macro.barrier_step(p, 0.005, 0.5, variant)
+            b = p.mirrored()
+            assert a.grid.n_cells == b.grid.n_cells
+            assert a.grid.r_min == pytest.approx(b.grid.r_min, abs=1e-12)
+            assert a.grid.r_max == pytest.approx(b.grid.r_max, abs=1e-12)
+            assert np.max(np.abs(a.u - b.u)) <= 1e-12
+            assert np.max(np.abs(a.v - b.v)) <= 1e-12
 
     def test_variant_validation(self):
         with pytest.raises(ProfileError):
