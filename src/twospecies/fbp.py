@@ -333,30 +333,29 @@ def simulate_absorbed(starts_x: np.ndarray, starts_t: np.ndarray, t_end: float,
     # exp(-2 g/dt) with g = (a1-x1)(a2-x2) is exactly 0 (and u < 0 never
     # holds) unless g < 373 dt; the margin covers the rounding of the test
     near_g = 373.0 * dt * (1.0 + 1e-9)
+    # an empty slice is stepped too: size-0 draws keep rng's state
     for k in range(n_steps):
         new = order[first[k]:first[k + 1]]
+        # np.insert copies and makes temporaries the size of `new`
         if len(live) == 0:
             live, xl = new, x[new]
         elif len(new):
             at = np.searchsorted(live, new)
             live = np.insert(live, at, new)
             xl = np.insert(xl, at, x[new])
-        if len(live) == 0:
-            continue
         a1, a2 = bvals[k], bvals[k + 1]
         x2 = sqrt_dt * rng.standard_normal(len(live))
         x2 += xl
         hit = np.flatnonzero(x2 >= a2)
-        if len(hit) < len(live):
-            u = rng.random(len(live) - len(hit))
-            g = a1 - xl
-            g *= a2 - x2
-            g[hit] = np.inf
-            near = np.flatnonzero(g < near_g)
-            p = np.exp(-2.0 * (a1 - xl[near]) * (a2 - x2[near]) / dt)
-            # u is drawn for the paths not hit, in order
-            crossed = near[u[near - np.searchsorted(hit, near)] < p]
-            hit = np.sort(np.concatenate([hit, crossed]))
+        # u is drawn for the paths not hit, in order
+        u = rng.random(len(live) - len(hit))
+        g = a1 - xl
+        g *= a2 - x2
+        g[hit] = np.inf
+        near = np.flatnonzero(g < near_g)
+        crossed = near[u[near - np.searchsorted(hit, near)]
+                       < np.exp(-2.0 * g[near] / dt)]
+        hit = np.sort(np.concatenate([hit, crossed]))
         if len(hit):
             gone = live[hit]
             x[gone] = x2[hit]
@@ -382,10 +381,10 @@ def absorption_prob_const(r0: float, a: float, t: float) -> float:
 
 
 def binomial_var(p_hat: float, n: int, weight: float = 1.0) -> float:
-    """Variance of weight * p_hat for a proportion p_hat of n trials.  p_hat
-    is clipped to [1/(n+1), n/(n+1)], so a count of 0 or n keeps a nonzero
-    standard error; any other count is left as it is."""
-    p = min(max(p_hat, 1 / (n + 1)), n / (n + 1))
+    """Variance of weight * p_hat for a proportion (or an array of them)
+    p_hat of n trials.  p_hat is clipped to [1/(n+1), n/(n+1)], so a count
+    of 0 or n keeps a nonzero standard error; any other count is as it is."""
+    p = np.clip(p_hat, 1 / (n + 1), n / (n + 1))
     return weight**2 * p * (1 - p) / n
 
 
@@ -416,7 +415,7 @@ def _sample_from_density(f: np.ndarray, grid: GridSpec, n: int,
 
 
 def _z(estimate: float, target: float, se: float) -> float:
-    return (estimate - target) / max(se, 1e-300)
+    return (estimate - target) / np.maximum(se, 1e-300)
 
 
 def _side_data(sol: FbpSolution, side: str, t: float
@@ -464,29 +463,29 @@ def mc_validate(sol: FbpSolution, t: float, n_paths: int,
     nodes = ref.grid.nodes()
     inside = (nodes > r_lo) & (nodes < r_hi)
     knots = np.concatenate([[r_lo], nodes[inside], [r_hi]])
-    cum = np.asarray(tail_integral(ref.u, ref.grid, r_lo)
-                     - tail_integral(ref.u, ref.grid, knots))
+    tails = tail_integral(ref.u, ref.grid, knots)
+    cum = tails[0] - tails
     cum[-1] = max(cum[-1], cum[-2])
     levels = cum[-1] * np.arange(N_INTERVALS + 1) / N_INTERVALS
     edges = np.interp(levels, cum, knots)
     edges[0], edges[-1] = r_lo, r_hi
+    tails = tail_integral(ref.u, ref.grid, edges)
+    ref_mass = tails[:-1] - tails[1:]
 
-    w0 = mass0 / n0
-    ws = kappa_t / ns
-    intervals = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        ref_mass = float(tail_integral(ref.u, ref.grid, a)
-                         - tail_integral(ref.u, ref.grid, b))
-        c0 = int(np.count_nonzero(~ab0 & (xf0 >= a) & (xf0 < b)))
-        cs = int(np.count_nonzero(~abs_ & (xfs >= a) & (xfs < b)))
-        est = w0 * c0 + ws * cs
-        se = math.sqrt(binomial_var(c0 / n0, n0, mass0)
-                       + binomial_var(cs / ns, ns, kappa_t))
-        # reported in the original r, where the mirrored [a, b) is (-b, -a]
-        lo, hi = (a, b) if side == "u" else (-b, -a)
-        intervals.append({"r_lo": lo, "r_hi": hi, "reference": ref_mass,
-                          "estimate": est, "se": se,
-                          "z": _z(est, ref_mass, se)})
+    # survivors counted on the half-open intervals [a, b)
+    c0, cs = (np.histogram(xf[~ab & (xf < r_hi)], edges)[0]
+              for xf, ab in ((xf0, ab0), (xfs, abs_)))
+    est = mass0 / n0 * c0 + kappa_t / ns * cs
+    se = np.sqrt(binomial_var(c0 / n0, n0, mass0)
+                 + binomial_var(cs / ns, ns, kappa_t))
+    z = _z(est, ref_mass, se)
+    # reported in the original r, where the mirrored [a, b) is (-b, -a]
+    lo, hi = edges[:-1], edges[1:]
+    if side == "v":
+        lo, hi = -hi, -lo
+    keys = ("r_lo", "r_hi", "reference", "estimate", "se", "z")
+    intervals = [dict(zip(keys, map(float, row)))
+                 for row in zip(lo, hi, ref_mass, est, se, z)]
 
     pa0 = float(np.mean(ab0))
     pas = float(np.mean(abs_))
@@ -496,7 +495,7 @@ def mc_validate(sol: FbpSolution, t: float, n_paths: int,
     return {
         "side": side,
         "t": t,
-        "max_abs_z": max(abs(iv["z"]) for iv in intervals),
+        "max_abs_z": float(np.abs(z).max()),
         "mass": {"t": t, "target": kappa_t, "estimate": est_mass,
                  "se": se_mass, "z": _z(est_mass, kappa_t, se_mass)},
         "intervals": intervals,

@@ -3,15 +3,18 @@
 `bench/layers.installed` replaces each function of its TRACED table at
 every module or class that binds it, looking the function up with
 `vars(owner)[name]`.  A rename, a moved import or a call that bypasses the
-binding breaks `bench/run.py --trace 1` without failing any other test.
+binding breaks `bench/run.py --trace 1` without failing any other test, and
+so does a counter hook that reads an attribute the traced result no longer
+has.
 """
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from twospecies import fbp, macro
+from twospecies import cli, fbp, macro
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -61,3 +64,38 @@ def test_traced_solve_reaches_the_step_and_solution_hooks(bench):
     assert tracer.counters["macro.nodes"] > 0
     assert tracer.counters["fbp.solution_bytes"] > 0
     assert macro.barrier_step is step
+
+
+# one tiny config per subcommand; together they reach every counter hook
+SUBCOMMANDS = {
+    "simulate": {"epsilon": 0.2, "kappa": 1.0, "horizon_T": 0.1, "seed": 7},
+    "couple-verify": {
+        "exhaustive": {"max_particles": 2, "n_sites": 3, "max_marks": 2},
+        "sandwich": {"epsilon": 0.2, "kappa": 1.0, "horizon_T": 0.2,
+                     "seed": 5, "delta": 0.2}},
+    "barriers": {"kappa": 0.5, "delta": 0.05, "horizon_T": 0.1},
+    "fbp": {"kappa": 0.5, "delta": 0.05, "horizon_T": 0.1,
+            "mc": {"t": 0.1, "n_paths": 200, "seed": 1, "dt": 0.01,
+                   "z_max": 4.0}},
+    "hydro-compare": {"epsilon": 0.2, "kappa": 0.5, "horizon_T": 0.1,
+                      "seed": 3, "delta_ref": 0.05},
+}
+HOOK_COUNTERS = ["coupling.exhaustive.runs", "coupling.sandwich.seeds",
+                 "lattice.stored_jumps", "lattice.rings", "macro.nodes",
+                 "fbp.solution_bytes", "fbp.path_steps"]
+
+
+def test_every_counter_hook_fires_from_the_command_line(bench, tmp_path):
+    # a hook that reads an attribute its object no longer has raises inside
+    # the traced call, and the subcommand exits 3 instead of 0
+    layers, spans = bench
+    tracer = spans.Tracer()
+    with layers.installed(tracer):
+        for command, cfg in SUBCOMMANDS.items():
+            path = tmp_path / f"{command}.json"
+            path.write_text(json.dumps(cfg))
+            code = cli.main([command, "--config", str(path), "--out",
+                             str(tmp_path / command), "--threads", "1"])
+            assert code == 0, command
+    missing = [c for c in HOOK_COUNTERS if not tracer.counters[c] > 0]
+    assert not missing, missing

@@ -486,6 +486,33 @@ class TestAbsorbedPaths:
         assert np.mean(absorbed[:4000]) > np.mean(absorbed[4000:])
 
 
+def reference_intervals(sol, t, side, edges, xf0, ab0, xfs, abs_, n_paths):
+    """Test oracle: `mc_validate`'s interval entries from the given edges (in
+    the frame where `side` is u) and simulated paths, one interval at a time
+    on [a, b), with the binomial variance clipped scalar by scalar."""
+    p0, _, ref = fbp._side_data(sol, side, t)
+    mass0, kappa_t = p0.mass_u, sol.kappa * t
+    n0, ns = n_paths, max(n_paths // 2, 1)
+
+    def var(p_hat, n, weight):
+        p = min(max(p_hat, 1 / (n + 1)), n / (n + 1))
+        return weight**2 * p * (1 - p) / n
+
+    intervals = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        ref_mass = float(macro.tail_integral(ref.u, ref.grid, a)
+                         - macro.tail_integral(ref.u, ref.grid, b))
+        c0 = int(np.count_nonzero(~ab0 & (xf0 >= a) & (xf0 < b)))
+        cs = int(np.count_nonzero(~abs_ & (xfs >= a) & (xfs < b)))
+        est = mass0 / n0 * c0 + kappa_t / ns * cs
+        se = math.sqrt(var(c0 / n0, n0, mass0) + var(cs / ns, ns, kappa_t))
+        lo, hi = (a, b) if side == "u" else (-b, -a)
+        intervals.append({"r_lo": lo, "r_hi": hi, "reference": ref_mass,
+                          "estimate": est, "se": se,
+                          "z": (est - ref_mass) / max(se, 1e-300)})
+    return intervals
+
+
 class TestMcValidation:
     def test_interval_and_mass_checks_within_noise(self, coarse_sol):
         rng = np.random.default_rng(42)
@@ -515,6 +542,34 @@ class TestMcValidation:
         # the lowest interval starts at the refined boundary V
         V = fbp.refined_boundary_curves(coarse_sol).V_at(0.1)
         assert ivs[0]["r_lo"] == pytest.approx(V, abs=1e-12)
+
+    @pytest.mark.parametrize("side", ["u", "v"])
+    def test_survivors_on_the_edges_count_as_the_reference_loop_does(
+            self, coarse_sol, monkeypatch, side):
+        t, n = 0.1, 60
+        ivs = fbp.mc_validate(coarse_sol, t, 20, np.random.default_rng(0),
+                              side=side, dt=1e-3)["intervals"]
+        # the edges in the frame where the side is u, r_lo first
+        if side == "u":
+            edges = np.array([ivs[0]["r_lo"]] + [iv["r_hi"] for iv in ivs])
+        else:
+            edges = np.array([-ivs[0]["r_hi"]] + [-iv["r_lo"] for iv in ivs])
+        inner, mids = edges[1:-1], 0.5 * (edges[:-1] + edges[1:])
+        outside = [edges[0] - 0.1, edges[-1] + 0.1]
+        # survivors on every edge (r_lo and r_hi included), below r_lo, past
+        # r_hi and inside intervals; absorbed paths inside and on edges
+        x0 = np.concatenate([edges, inner, outside, mids[::2], mids])
+        ab0 = np.arange(len(x0)) >= len(x0) - len(mids)
+        xs = np.concatenate([inner, edges[[0, -1]], mids[1::2], inner])
+        abs_ = np.arange(len(xs)) >= len(xs) - len(inner)
+        paths = iter([(x0, ab0), (xs, abs_)])
+        monkeypatch.setattr(fbp, "simulate_absorbed", lambda *a: next(paths))
+        report = fbp.mc_validate(coarse_sol, t, n, np.random.default_rng(0),
+                                 side=side, dt=1e-3)
+        expected = reference_intervals(coarse_sol, t, side, edges, x0, ab0,
+                                       xs, abs_, n)
+        assert report["intervals"] == expected
+        assert report["max_abs_z"] == max(abs(iv["z"]) for iv in expected)
 
     def test_mass_identity_direct(self, coarse_sol):
         rng = np.random.default_rng(5)
@@ -550,6 +605,18 @@ class TestMcValidation:
         edge = (1 / 11) * (10 / 11) / n
         assert fbp.binomial_var(0.0, n) == pytest.approx(edge)
         assert fbp.binomial_var(1.0, n) == pytest.approx(edge)
+        # an array of proportions gives the scalar calls elementwise, and so
+        # does _z, a zero standard error included
+        p = np.arange(n + 1) / n
+        var = fbp.binomial_var(p, n, 2.0)
+        assert var.tolist() == [fbp.binomial_var(q, n, 2.0)
+                                for q in p.tolist()]
+        se = np.sqrt(var)
+        se[[0, 4]] = 0.0
+        z = fbp._z(p, 0.3, se)
+        assert z.tolist() == [fbp._z(q, 0.3, s)
+                            for q, s in zip(p.tolist(), se.tolist())]
+        assert z[0] == -0.3 / 1e-300 and z[4] == (0.4 - 0.3) / 1e-300
 
 
 class TestExport:
