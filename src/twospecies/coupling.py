@@ -343,6 +343,28 @@ class ExhaustiveReport:
     first_failure: str | None = None
 
 
+def _class_outcome(positions: np.ndarray, sigma: np.ndarray,
+                   sigma_p: np.ndarray, sequences, stays
+                   ) -> tuple[int, int, str | None] | None:
+    """One tie class's runs, skips and first failure over `sequences` in
+    order, stopping at the failure, or None when sigma' is not dominated
+    by sigma.  `stays` flags the sequences that keep both species alive."""
+    if order_witness(positions, sigma_p, sigma)[0]:
+        return None
+    cs0 = CoupledState(positions, sigma, sigma_p)
+    build_splitting(cs0)
+    n_runs = n_skipped = 0
+    for marks, stay in zip(sequences, stays):
+        if not stay:
+            n_skipped += 1
+            continue
+        n_runs += 1
+        failure = _balance_history(cs0.copy(), marks)
+        if failure is not None:
+            return n_runs, n_skipped, f"marks={_names(marks, MARKS)}: {failure}"
+    return n_runs, n_skipped, None
+
+
 def exhaustive_balance_check(max_particles: int, n_sites: int,
                              max_marks: int) -> ExhaustiveReport:
     """Check the balance identities on every ordered coupled pair with
@@ -350,39 +372,53 @@ def exhaustive_balance_check(max_particles: int, n_sites: int,
     exchangeable) and every mark sequence, positions frozen.
 
     Mark sequences that would flip an absent species are skipped, matching
-    the survival conditioning of the stochastic setting.
+    the survival conditioning of the stochastic setting.  Counts are per
+    instance, and the first failure is the first in enumeration order.
+
+    A history reads positions only by comparing two of them or grouping
+    labels by site: the rank selection of a flip, the x_i > x_j test of a
+    pair, and the site scans of `order_witness` and `build_splitting`.  So
+    an instance's outcome depends on its tie pattern (which neighbouring
+    labels share a site) and its two colorings alone.  Each such class is
+    run once, at its first instance, and its later instances reuse the
+    outcome; a failure names labels, not sites, so each instance reports
+    it under its own positions.
     """
     from itertools import combinations_with_replacement, product
 
     sequences = [tuple(RIGHT if (bits >> p) & 1 else LEFT for p in range(m))
                  for m in range(max_marks + 1) for bits in range(1 << m)]
+    outcomes: dict[tuple, tuple[int, int, str | None] | None] = {}
     n_instances = n_runs = n_skipped = 0
     for M in range(1, max_particles + 1):
         colorings = [(s, np.array(s)) for s in product((A, B), repeat=M)]
+        stays = [[marks_stay_in_X(h_a, M, marks) for marks in sequences]
+                 for h_a in range(M + 1)]
         for xs in combinations_with_replacement(range(n_sites), M):
             positions = np.array(xs, dtype=np.int64)
+            ties = tuple(a == b for a, b in zip(xs, xs[1:]))
             for sigma, sigma_arr in colorings:
                 h_a = sigma.count(A)
                 for sigma_p, sigma_p_arr in colorings:
-                    if (sigma_p.count(A) != h_a
-                            or order_witness(positions, sigma_p_arr,
-                                             sigma_arr)[0]):
+                    if sigma_p.count(A) != h_a:
                         continue
+                    key = (ties, sigma, sigma_p)
+                    if key not in outcomes:
+                        outcomes[key] = _class_outcome(
+                            positions, sigma_arr, sigma_p_arr, sequences,
+                            stays[h_a])
+                    outcome = outcomes[key]
+                    if outcome is None:
+                        continue
+                    runs, skipped, failure = outcome
                     n_instances += 1
-                    cs0 = CoupledState(positions, sigma_arr, sigma_p_arr)
-                    build_splitting(cs0)
-                    for marks in sequences:
-                        if not marks_stay_in_X(h_a, M, marks):
-                            n_skipped += 1
-                            continue
-                        failure = _balance_history(cs0.copy(), marks)
-                        n_runs += 1
-                        if failure is not None:
-                            msg = (f"x={xs} sigma={_names(sigma, COLORS)} "
-                                   f"sigma'={_names(sigma_p, COLORS)} "
-                                   f"marks={_names(marks, MARKS)}: {failure}")
-                            return ExhaustiveReport(False, n_instances, n_runs,
-                                                    n_skipped, msg)
+                    n_runs += runs
+                    n_skipped += skipped
+                    if failure is not None:
+                        msg = (f"x={xs} sigma={_names(sigma, COLORS)} "
+                               f"sigma'={_names(sigma_p, COLORS)} {failure}")
+                        return ExhaustiveReport(False, n_instances, n_runs,
+                                                n_skipped, msg)
     return ExhaustiveReport(True, n_instances, n_runs, n_skipped)
 
 

@@ -39,6 +39,14 @@ def test_exhaustive_balance_identities():
             report.n_skipped_depleting) == (2250, 15250, 18500)
 
 
+def test_exhaustive_balance_identities_one_size_up():
+    report = coupling.exhaustive_balance_check(max_particles=5, n_sites=5,
+                                               max_marks=3)
+    assert report.ok, report.first_failure
+    assert (report.n_instances, report.n_runs,
+            report.n_skipped_depleting) == (25852, 246810, 140970)
+
+
 def test_pathwise_sandwich():
     cfg = lattice.SimConfig(epsilon=0.05, kappa=1.0, horizon_T=1.0, seed=0)
     report = coupling.verify_sandwich(cfg, tent_pair(), 0.2, 200)

@@ -1,4 +1,5 @@
 """Two-copy splitting calculus: C-maps, dissolutions, balance identities."""
+import itertools
 import json
 
 import numpy as np
@@ -110,6 +111,52 @@ def dissolve_collisions(cs, exchange_copy):
     for pr in list(cs.pairs):
         if cs.x(pr[0]) == cs.x(pr[1]):
             coupling._dissolve_pair(cs, pr, exchange_copy)
+
+
+def mark_sequences(max_marks):
+    """Every mark sequence of at most max_marks marks, in the enumeration
+    order of the exhaustive check."""
+    return [tuple(RIGHT if (bits >> p) & 1 else LEFT for p in range(m))
+            for m in range(max_marks + 1) for bits in range(1 << m)]
+
+
+def ordered_instances(max_particles, n_sites):
+    """Every sorted position vector with every ordered pair of matched
+    colorings, in the enumeration order of the exhaustive check, with the
+    tie pattern of the positions."""
+    for M in range(1, max_particles + 1):
+        colorings = list(itertools.product((A, B), repeat=M))
+        for xs in itertools.combinations_with_replacement(range(n_sites), M):
+            ties = tuple(a == b for a, b in zip(xs, xs[1:]))
+            for sigma in colorings:
+                for sigma_p in colorings:
+                    if (sigma_p.count(A) == sigma.count(A)
+                            and witness(xs, sigma_p, sigma)[0] == 0):
+                        yield xs, ties, sigma, sigma_p
+
+
+def reference_exhaustive_check(max_particles, n_sites, max_marks):
+    """exhaustive_balance_check as one history per instance and surviving
+    mark sequence: the oracle for its tie-class memo."""
+    n_instances = n_runs = n_skipped = 0
+    for xs, _, sigma, sigma_p in ordered_instances(max_particles, n_sites):
+        n_instances += 1
+        cs0 = cs_of(xs, sigma, sigma_p)
+        coupling.build_splitting(cs0)
+        for marks in mark_sequences(max_marks):
+            if not lattice.marks_stay_in_X(sigma.count(A), len(xs), marks):
+                n_skipped += 1
+                continue
+            failure = coupling._balance_history(cs0.copy(), marks)
+            n_runs += 1
+            if failure is not None:
+                msg = (f"x={xs} sigma={coupling._names(sigma, lattice.COLORS)} "
+                       f"sigma'={coupling._names(sigma_p, lattice.COLORS)} "
+                       f"marks={coupling._names(marks, lattice.MARKS)}: "
+                       f"{failure}")
+                return coupling.ExhaustiveReport(False, n_instances, n_runs,
+                                                 n_skipped, msg)
+    return coupling.ExhaustiveReport(True, n_instances, n_runs, n_skipped)
 
 
 def witness(positions, lo, hi):
@@ -446,6 +493,56 @@ class TestBalance:
         assert (report.n_instances, report.n_runs,
                 report.n_skipped_depleting) == (9, 10, 113)
         assert "C2 step 1" in report.first_failure, report.first_failure
+
+    def test_history_reads_positions_only_through_their_ties(self):
+        # the exhaustive check runs each (ties, sigma, sigma') class once:
+        # every history must end alike on each instance of its class
+        first = {}
+        finals = {}
+        n_instances = 0
+        for xs, ties, sigma, sigma_p in ordered_instances(3, 4):
+            n_instances += 1
+            ref = first.setdefault((ties, sigma, sigma_p), xs)
+            for marks in mark_sequences(3):
+                if not lattice.marks_stay_in_X(sigma.count(A), len(xs), marks):
+                    continue
+                ends = []
+                for positions in (xs, ref):
+                    cs = cs_of(positions, sigma, sigma_p)
+                    coupling.build_splitting(cs)
+                    failure = coupling._balance_history(cs, marks)
+                    ends.append((failure, cs.sigma.tolist(),
+                                 cs.sigma_prime.tolist(), sorted(cs.pairs)))
+                assert ends[0] == ends[1], (xs, ref, sigma, sigma_p, marks)
+                finals.setdefault((sigma, sigma_p, marks), set()).add(
+                    repr(ends[0]))
+        assert len(first) < n_instances
+        # final states differ between the tie classes of one coloring pair,
+        # so equal ends within a class are not a given
+        assert sum(len(ends) > 1 for ends in finals.values()) >= 40
+
+    @pytest.mark.parametrize("setup", ["maps", "no_C2", "injected"])
+    def test_exhaustive_matches_the_per_instance_loop(self, monkeypatch,
+                                                      setup):
+        if setup == "no_C2":
+            monkeypatch.setattr(coupling, "apply_C2", lambda cs, mark: None)
+        elif setup == "injected":
+            # a failure that is a function of the class: 3-mark sequences
+            # on positions not all at one site, whose normalized sigma' is
+            # not sorted
+            history = coupling._balance_history
+
+            def injected(cs, marks):
+                sigma_p = cs.sigma_prime.tolist()
+                if (len(marks) == 3 and len(set(cs.positions.tolist())) > 1
+                        and sigma_p != sorted(sigma_p)):
+                    return "injected"
+                return history(cs, marks)
+
+            monkeypatch.setattr(coupling, "_balance_history", injected)
+        report = coupling.exhaustive_balance_check(4, 4, 3)
+        assert report == reference_exhaustive_check(4, 4, 3)
+        assert report.ok == (setup == "maps"), report.first_failure
 
 
 class TestCoupleBlock:
