@@ -139,7 +139,9 @@ def order_witness(positions: np.ndarray, lo: np.ndarray, hi: np.ndarray
     One pass over the particles nets the a-count differences per such site
     (kept even when its net is 0, since it can be the witness), and a scan
     from the right sums them.  Pure Python: the exhaustive check calls this
-    with M <= 4, where numpy's per-call cost outweighs the work.
+    with M <= 4, where numpy's per-call cost outweighs the work; the
+    sandwich also calls it with M = 40, in its block checks and in every
+    `build_splitting`.
     """
     net: dict[int, int] = {}
     for x, c_lo, c_hi in zip(positions.tolist(), lo.tolist(), hi.tolist()):

@@ -25,9 +25,7 @@ A, B = 0, 1
 RIGHT, LEFT = 0, 1
 COLORS = ("a", "b")
 MARKS = ("right", "left")
-# rank_select loops over fewer particles than this and uses numpy from here
-# on, where the loop's per-particle cost overtakes numpy's per-call cost
-RANK_VECTOR_MIN = 64
+_MASKED_KEY = np.iinfo(np.int64).min
 
 
 class SimulationError(ValueError):
@@ -193,7 +191,8 @@ def _walk_draws(t_end: float, rng: np.random.Generator
     """One particle's jump times in (0, t_end] and up-step flags.
 
     The sampler of `PositionRealization.sample`, the stored realization
-    that `coupling` reads jump by jump.
+    whose married pairs' jumps `coupling` reads once per interval between
+    rings.
     """
     expected = max(int(t_end * 1.3) + 16, 16)
     ts: list[np.ndarray] = []
@@ -366,38 +365,22 @@ def evolve_positions(ps: ParticleState, t0: float, t1: float,
 def rank_select(positions: np.ndarray, colors: np.ndarray, mark: int) -> int | None:
     """Label (1-based) of the particle a `mark` ring recolors: the rightmost
     a-particle for RIGHT, the leftmost b-particle for LEFT.  Ties go to the
-    largest label; None if that species is absent."""
-    if mark == RIGHT:
-        color, sign = A, 1
-    elif mark == LEFT:
-        color, sign = B, -1
-    else:
+    largest label; None if that species is absent.
+
+    Mark m selects species m by the largest key (1 - 2m) * position; the
+    other species' keys are masked with the int64 minimum, and argmax on
+    the reversed keys finds the last maximum, so a masked winner means the
+    species is absent.
+    """
+    if mark not in (RIGHT, LEFT):
         raise SimulationError(f"mark must be {RIGHT} ('right') or {LEFT} "
                               f"('left'), got {mark!r}")
-    if len(positions) < RANK_VECTOR_MIN:
-        return _rank_loop(positions, colors, color, sign)
-    return _rank_vector(positions, colors, color, sign)
-
-
-def _rank_loop(positions: np.ndarray, colors: np.ndarray, color: int,
-               sign: int) -> int | None:
-    """`rank_select` as one pass over the particles."""
-    best = None
-    for i, (x, c) in enumerate(zip(positions.tolist(), colors.tolist())):
-        if c == color and (best is None or (sign * x, i) > best):
-            best = (sign * x, i)
-    return None if best is None else best[1] + 1
-
-
-def _rank_vector(positions: np.ndarray, colors: np.ndarray, color: int,
-                 sign: int) -> int | None:
-    """`rank_select` in numpy: the largest sign * position among the
-    species, the last of its ties found by argmax on the reversed keys."""
-    labels = np.flatnonzero(colors == color)
-    if len(labels) == 0:
+    keys = np.multiply(1 - 2 * mark, positions, dtype=np.int64)
+    keys[colors != mark] = _MASKED_KEY
+    if not len(keys):
         return None
-    keys = sign * positions[labels]
-    return int(labels[len(keys) - 1 - int(keys[::-1].argmax())]) + 1
+    label = len(keys) - int(keys[::-1].argmax())
+    return label if colors.item(label - 1) == mark else None
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,17 @@ from twospecies.lattice import (A, B, LEFT, RIGHT, EventLog, ParticleState,
                                 SimulationError)
 
 
+def _rank_loop(positions: np.ndarray, colors: np.ndarray, color: int,
+               sign: int) -> int | None:
+    """The oracle of `rank_select`: one pass over the particles keeping the
+    largest (sign * position, index) of the species `color`."""
+    best = None
+    for i, (x, c) in enumerate(zip(positions.tolist(), colors.tolist())):
+        if c == color and (best is None or (sign * x, i) > best):
+            best = (sign * x, i)
+    return None if best is None else best[1] + 1
+
+
 def cfg_small(**kw):
     base = dict(epsilon=0.1, kappa=1.0, horizon_T=0.5, seed=11)
     base.update(kw)
@@ -188,22 +199,25 @@ class TestRankSelection:
     def test_absent_species_returns_none(self):
         ps = ParticleState(np.array([0, 1]), np.array([A, A]))
         assert lattice.rank_select(ps.positions, ps.colors, LEFT) is None
+        for mark in (RIGHT, LEFT):
+            assert lattice.rank_select(np.zeros(0, np.int64),
+                                       np.zeros(0, np.int8), mark) is None
 
-    @pytest.mark.parametrize("M", [1, 5, lattice.RANK_VECTOR_MIN - 1,
-                                   lattice.RANK_VECTOR_MIN,
-                                   lattice.RANK_VECTOR_MIN + 1, 400])
+    @pytest.mark.parametrize("M", [1, 2, 4, 5, 40, 63, 64, 65, 400])
     def test_vector_branch_matches_the_loop(self, M):
-        # few sites force ties; a species is absent in some draws
+        # the one numpy body against the loop oracle at every size; few
+        # sites force ties, and a species is absent in some draws
         rng = np.random.default_rng(M)
         for _ in range(200):
             positions = rng.integers(-3, 4, M)
             colors = (rng.random(M) < rng.choice([0.0, 0.1, 0.5, 1.0])
                       ).astype(np.int8)
             for mark, (color, sign) in ((RIGHT, (A, 1)), (LEFT, (B, -1))):
-                want = lattice._rank_loop(positions, colors, color, sign)
-                assert lattice._rank_vector(positions, colors, color,
-                                            sign) == want
+                want = _rank_loop(positions, colors, color, sign)
                 assert lattice.rank_select(positions, colors, mark) == want
+                # x -> -x, a <-> b, right <-> left selects the same label
+                assert lattice.rank_select(-positions, 1 - colors,
+                                           1 - mark) == want
 
 
 class TestWalks:
@@ -434,7 +448,7 @@ class TestTrajectory:
         assert traj.absent_flip_count == 1
         assert list(traj.state_at(3.0).colors) == [A, B]
 
-    @pytest.mark.parametrize("M", [30, 80])  # both rank_select branches
+    @pytest.mark.parametrize("M", [30, 80])
     def test_true_run_commutes_with_the_mirror(self, rng, M):
         # x -> -x, a <-> b, right <-> left on the same jump and ring times;
         # both marks break ties toward the largest label, so the mirrored
