@@ -209,10 +209,13 @@ def _walk_draws(t_end: float, rng: np.random.Generator
 def _increments(mean_jumps: float, M: int, rng: np.random.Generator
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Jump counts and up-step counts of M independent walks over one time
-    gap: n ~ Poisson(mean_jumps), then Binomial(n, 1/2) of them up, so the
-    displacement is 2 * ups - n."""
-    n = rng.poisson(mean_jumps, size=M)
-    return n, rng.binomial(n, 0.5)
+    gap.  A walk jumping at rate 1 makes its up-steps and its down-steps as
+    two independent Poisson processes of rate 1/2 (Poisson thinning), so
+    ups ~ Poisson(mean_jumps / 2) is drawn first, then the down-steps
+    likewise; n = ups + downs ~ Poisson(mean_jumps) and the displacement is
+    2 * ups - n."""
+    ups = rng.poisson(mean_jumps / 2, size=M)
+    return ups + rng.poisson(mean_jumps / 2, size=M), ups
 
 
 class _Walks:
@@ -285,16 +288,17 @@ class StreamedWalks(_Walks):
     """Independent walks on [0, t_end] drawn only at the times read.
 
     A walk's law at fixed times needs no jump times: over a gap of length
-    dt a particle makes Poisson(dt) jumps, half of them up on
-    average (`_increments`).  The gaps between 0, `times` and t_end are
-    drawn this way from `rng` at construction, and each walk's position and
-    jump count are kept at each of these known times, so memory and work
-    are O(M * len(times)), not O(M * t_end).
+    dt a particle makes Poisson(dt / 2) up-steps and, independently,
+    Poisson(dt / 2) down-steps (`_increments`).  The gaps between 0,
+    `times` and t_end are drawn this way from `rng` at construction, and
+    each walk's position and jump count are kept at each of these known
+    times, so memory and work are O(M * len(times)), not O(M * t_end).
 
     A query strictly inside a gap draws from the exact bridge between its
-    known neighbours: of the gap's n jumps, Binomial(n, f) fall before it
-    (f the fraction of the gap before it), and the up-steps among those are
-    hypergeometric.  The query then becomes a known time, so a repeated
+    known neighbours: given the gap's up-steps and down-steps, each step
+    falls before it independently with probability f (f the fraction of
+    the gap before it), so Binomial(ups, f) up-steps and Binomial(downs, f)
+    down-steps precede it.  The query then becomes a known time, so a repeated
     query returns the same positions and a later one in the same gap
     bridges between its nearest known neighbours.  Bridge draws come from
     a child stream taken from `rng` at construction; `rng` itself is not
@@ -328,23 +332,25 @@ class StreamedWalks(_Walks):
         t_lo, t_hi = self._times[k - 1], self._times[k]
         n = self._jumps[k] - self._jumps[k - 1]
         ups = (n + self._positions[k] - self._positions[k - 1]) // 2
-        n_before = self._bridge_rng.binomial(n, (t - t_lo) / (t_hi - t_lo))
-        ups_before = self._bridge_rng.hypergeometric(ups, n - ups, n_before)
+        f = (t - t_lo) / (t_hi - t_lo)
+        ups_before = self._bridge_rng.binomial(ups, f)
+        downs_before = self._bridge_rng.binomial(n - ups, f)
         self._times = np.insert(self._times, k, t)
         self._positions = np.insert(
             self._positions, k,
-            self._positions[k - 1] + 2 * ups_before - n_before, axis=0)
+            self._positions[k - 1] + ups_before - downs_before, axis=0)
         self._jumps = np.insert(self._jumps, k,
-                                self._jumps[k - 1] + n_before, axis=0)
+                                self._jumps[k - 1] + ups_before + downs_before,
+                                axis=0)
 
 
 def evolve_positions(ps: ParticleState, t0: float, t1: float,
                      rng: np.random.Generator) -> ParticleState:
     """Transport positions over [t0, t1]; colors untouched.
 
-    Samples the net displacement directly, one gap of `_increments`: jump
-    counts are Poisson with mean t1 - t0 and each jump is +-1 with
-    probability 1/2.
+    Samples the net displacement directly, one gap of `_increments`: each
+    walk makes Poisson((t1 - t0) / 2) up-steps and, independently,
+    Poisson((t1 - t0) / 2) down-steps, the up-steps drawn first.
     """
     if abs(ps.time - t0) > 1e-9:
         raise SimulationError(f"state time {ps.time} != t0 = {t0}")

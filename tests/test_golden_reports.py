@@ -4,13 +4,17 @@ Each case runs in about a second or less, at --threads 1 and 2.  Floats
 must agree to a relative 1e-12, everything else exactly, so a change that
 claims "same results" is held to them.  The golden files in tests/golden/
 were written by the code before such a change, never by the change itself;
-to record them from another checkout of the package, run
+a change that moves a report on purpose (a new random stream, new keys)
+re-records only the cases it moves.  To record from another checkout of the
+package, run
 
-    PYTHONPATH=<that checkout>/src python tests/test_golden_reports.py
+    PYTHONPATH=<that checkout>/src python tests/test_golden_reports.py [CASE ...]
 
-which refuses to record (exit 1) when twospecies is imported from this
-checkout's own src/.  The "-asymmetric" cases run on a datum that is not its
-own mirror image, so a v side that reads u's data changes their reports.
+which records the named cases, or every case when none is named, and
+refuses to record (exit 1) when twospecies is imported from this checkout's
+own src/ or a name is not a case.  The "-asymmetric" cases run on a datum
+that is not its own mirror image, so a v side that reads u's data changes
+their reports.
 """
 import json
 import math
@@ -114,9 +118,14 @@ if __name__ == "__main__":
     if Path(lattice.__file__).resolve().parents[1] == own_src:
         sys.exit("refusing to record: twospecies is imported from this "
                  "checkout's src/; put another checkout's src/ on PYTHONPATH")
+    names = sys.argv[1:] or list(CASES)
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        sys.exit(f"refusing to record: no case named {', '.join(unknown)}; "
+                 f"the cases are {', '.join(CASES)}")
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for name in CASES:
+        for name in names:
             report = run_case(name, 1, Path(tmp))
             (GOLDEN / f"{name}.json").write_text(
                 json.dumps(report, indent=2) + "\n")

@@ -314,6 +314,23 @@ class TestStreamedWalks:
         assert_uncorrelated(steps[0], steps[1])
         assert_uncorrelated(steps[1], steps[2])
 
+    def test_up_and_down_counts_are_independent_poisson(self):
+        walks = self.walks(8, [6.0, 15.0])
+        # a bridged query splits the gap (6, 15) into 3 and 6
+        walks.positions_at(9.0)
+        assert list(walks._times) == [0.0, 6.0, 9.0, 15.0, self.T_END]
+        jumps = np.diff(walks._jumps, axis=0)
+        steps = np.diff(walks._positions, axis=0)
+        for n, d, dt in zip(jumps, steps, np.diff(walks._times)):
+            # Poisson(half): mean and variance half, fourth cumulant half
+            half = dt / 2
+            var_se = math.sqrt((half + 2.0 * half**2) / self.M)
+            up, down = (n + d) // 2, (n - d) // 2
+            for count in (up, down):
+                assert abs(count.mean() - half) <= Z * math.sqrt(half / self.M)
+                assert abs(count.var(ddof=1) - half) <= Z * var_se
+            assert_uncorrelated(up, down)
+
     def test_off_ring_query_is_an_exact_bridge(self):
         rng = np.random.default_rng(np.random.SeedSequence(6))
         walks = self.walks(6, [3.0, 12.0], rng)
@@ -377,10 +394,10 @@ class TestStreamedWalks:
         g1, g2 = (np.random.default_rng(np.random.SeedSequence(9))
                   for _ in range(2))
         out = lattice.evolve_positions(ps, 1.0, 1.0 + scale * tau, g1)
-        # the formula the sampler has always used, written out
-        n = g2.poisson(scale * tau, size=ps.M)
-        disp = 2 * g2.binomial(n, 0.5) - n
-        assert np.array_equal(out.positions, ps.positions + disp)
+        # the sampler's formula, written out: up-steps first, then down-steps
+        ups = g2.poisson(scale * tau / 2, size=ps.M)
+        downs = g2.poisson(scale * tau / 2, size=ps.M)
+        assert np.array_equal(out.positions, ps.positions + ups - downs)
         assert g1.bit_generator.state == g2.bit_generator.state
 
     def test_positions_at_many_stacks_positions_at(self, rng):
