@@ -75,12 +75,6 @@ class CoupledState:
         return int(self.sigma[label - 1]), int(self.sigma_prime[label - 1])
 
     @property
-    def singles(self) -> dict[int, int]:
-        """S: each label colored alike in both copies, with its color."""
-        return {lab: c for lab, (c, c_p) in enumerate(
-            zip(self.sigma.tolist(), self.sigma_prime.tolist()), 1) if c == c_p}
-
-    @property
     def disc_I(self) -> set[int]:
         """I: the unmarried (b,a) labels."""
         return set(_unmarried(self, 1))

@@ -186,26 +186,6 @@ def sample_clock(cfg: SimConfig, rng: np.random.Generator) -> EventLog:
 # walks
 
 
-def _walk_draws(t_end: float, rng: np.random.Generator
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """One particle's jump times in (0, t_end] and up-step flags.
-
-    The sampler of `PositionRealization.sample`, the stored realization
-    whose married pairs' jumps `coupling` reads once per interval between
-    rings.
-    """
-    expected = max(int(t_end * 1.3) + 16, 16)
-    ts: list[np.ndarray] = []
-    t_acc = 0.0
-    while t_acc <= t_end:
-        chunk = np.cumsum(rng.exponential(1.0, size=expected)) + t_acc
-        ts.append(chunk)
-        t_acc = chunk[-1]
-    all_t = np.concatenate(ts)
-    all_t = all_t[all_t <= t_end]
-    return all_t, rng.random(len(all_t)) < 0.5
-
-
 def _increments(mean_jumps: float, M: int, rng: np.random.Generator
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Jump counts and up-step counts of M independent walks over one time
@@ -252,6 +232,11 @@ class PositionRealization(_Walks):
     Keeping the whole realization lets the true run and the coupled copies
     of `coupling` run on identical positions; `coupling` reads the jumps of
     married pairs between ring times to find where the partners meet.
+
+    `sample` draws each walk's up-step and down-step counts over [0, t_end]
+    with `_increments`, then lays the jumps out by their exact conditional
+    law, one walk at a time: the n jump times are n sorted uniforms on
+    (0, t_end], and the up-steps a uniformly random subset of ups of them.
     """
 
     def __init__(self, x0: np.ndarray, jump_times: list[np.ndarray],
@@ -269,11 +254,12 @@ class PositionRealization(_Walks):
     @classmethod
     def sample(cls, x0: np.ndarray, t_end: float,
                rng: np.random.Generator) -> "PositionRealization":
-        x0 = np.asarray(x0, dtype=np.int64)
-        draws = [_walk_draws(t_end, rng) for _ in range(len(x0))]
-        return cls(x0, [jt for jt, _ in draws],
-                   [np.where(up, 1, -1).astype(np.int64) for _, up in draws],
-                   t_end)
+        n, ups = _increments(t_end, len(x0), rng)
+        jump_times, steps = [], []
+        for k, u in zip(n.tolist(), ups.tolist()):
+            jump_times.append(np.sort(t_end - t_end * rng.random(k)))
+            steps.append(np.where(rng.permutation(k) < u, 1, -1))
+        return cls(x0, jump_times, steps, t_end)
 
     def positions_at_many(self, times) -> np.ndarray:
         times = self._query_times(times)

@@ -12,12 +12,15 @@ package, run
 
 which records the named cases, or every case when none is named, and
 refuses to record (exit 1) when twospecies is imported from this checkout's
-own src/ or a name is not a case.  The "-asymmetric" cases run on a datum
+own src/ or a name is not a case.  A case named in FILES also records, and
+compares exactly, those artifacts of its --threads 1 run, in
+tests/golden/<case>/.  The "-asymmetric" cases run on a datum
 that is not its own mirror image, so a v side that reads u's data changes
 their reports.
 """
 import json
 import math
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -63,14 +66,20 @@ CASES = {
 }
 
 
-def run_case(name: str, threads: int, workdir: Path) -> dict:
+# the simulate report holds no value that depends on the walks (only M, ring
+# counts, in_X and absent flips); its occupation counts do
+FILES = {"simulate": [f"occupation_seed{rep}.csv" for rep in range(4)]}
+
+
+def run_case(name: str, threads: int, workdir: Path) -> Path:
+    """Run a case; its --out directory."""
     command, cfg, seeds = CASES[name]
     cfg_path = workdir / f"{name}.json"
     cfg_path.write_text(json.dumps(cfg))
     out = workdir / f"{name}-t{threads}"
     main([command, "--config", str(cfg_path), "--out", str(out),
           "--seeds", str(seeds), "--threads", str(threads)])
-    return json.loads((out / "report.json").read_text())
+    return out
 
 
 def mismatches(got, want, path="report") -> list[str]:
@@ -102,7 +111,11 @@ def test_report_matches_golden(name, threads, tmp_path, monkeypatch):
     # two usable CPUs, so that --threads 2 forks two workers on any host
     monkeypatch.setattr(lattice, "usable_cpus", lambda: 2)
     want = json.loads((GOLDEN / f"{name}.json").read_text())
-    assert mismatches(run_case(name, threads, tmp_path), want) == []
+    out = run_case(name, threads, tmp_path)
+    assert mismatches(json.loads((out / "report.json").read_text()),
+                      want) == []
+    for file in FILES.get(name, []):
+        assert (out / file).read_text() == (GOLDEN / name / file).read_text()
 
 
 def test_mismatches_sees_floats_keys_and_types():
@@ -126,7 +139,11 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:
-            report = run_case(name, 1, Path(tmp))
+            out = run_case(name, 1, Path(tmp))
+            report = json.loads((out / "report.json").read_text())
             (GOLDEN / f"{name}.json").write_text(
                 json.dumps(report, indent=2) + "\n")
+            for file in FILES.get(name, []):
+                (GOLDEN / name).mkdir(exist_ok=True)
+                shutil.copyfile(out / file, GOLDEN / name / file)
             print(f"recorded {name}", file=sys.stderr)

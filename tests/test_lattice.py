@@ -238,6 +238,23 @@ class TestWalks:
         mean_jumps = np.mean([len(jt) for jt in real.jump_times])
         assert abs(mean_jumps - 50.0) <= 5.0 * np.sqrt(50.0 / 200)
 
+    # mean jump counts 0.3 (mostly empty walks), 5 and 37.5
+    @pytest.mark.parametrize("t_end", [0.3, 5.0, 37.5])
+    def test_stored_realization_draws_are_unchanged(self, t_end):
+        x0 = np.arange(-20, 20)
+        g1, g2 = (np.random.default_rng(np.random.SeedSequence(9))
+                  for _ in range(2))
+        real = PositionRealization.sample(x0, t_end, g1)
+        # the construction, written out: the counts of `_increments`, then
+        # per walk sorted uniform times on (0, t_end] and the up-steps on a
+        # uniformly random subset of its jumps
+        ups = g2.poisson(t_end / 2, size=len(x0))
+        n = ups + g2.poisson(t_end / 2, size=len(x0))
+        for jt, st, k, u in zip(real.jump_times, real.steps, n, ups):
+            assert np.array_equal(jt, np.sort(t_end - t_end * g2.random(k)))
+            assert np.array_equal(st, np.where(g2.permutation(k) < u, 1, -1))
+        assert g1.bit_generator.state == g2.bit_generator.state
+
     def test_evolve_positions_keeps_colors_and_time(self, rng):
         ps = ParticleState(np.array([0, 1, 2]), np.array([A, B, A]))
         out = lattice.evolve_positions(ps, 0.0, 7.0, rng)
@@ -319,9 +336,17 @@ class TestStreamedWalks:
         # a bridged query splits the gap (6, 15) into 3 and 6
         walks.positions_at(9.0)
         assert list(walks._times) == [0.0, 6.0, 9.0, 15.0, self.T_END]
-        jumps = np.diff(walks._jumps, axis=0)
-        steps = np.diff(walks._positions, axis=0)
-        for n, d, dt in zip(jumps, steps, np.diff(walks._times)):
+        gaps = list(zip(np.diff(walks._jumps, axis=0),
+                        np.diff(walks._positions, axis=0),
+                        np.diff(walks._times)))
+        # the stored realization's counts over the whole of [0, T_END]
+        real = PositionRealization.sample(
+            walks.x0, self.T_END,
+            np.random.default_rng(np.random.SeedSequence(9)))
+        n_real = np.array([len(jt) for jt in real.jump_times])
+        gaps.append((n_real, real.positions_at(self.T_END) - real.x0,
+                     self.T_END))
+        for n, d, dt in gaps:
             # Poisson(half): mean and variance half, fourth cumulant half
             half = dt / 2
             var_se = math.sqrt((half + 2.0 * half**2) / self.M)
@@ -330,6 +355,22 @@ class TestStreamedWalks:
                 assert abs(count.mean() - half) <= Z * math.sqrt(half / self.M)
                 assert abs(count.var(ddof=1) - half) <= Z * var_se
             assert_uncorrelated(up, down)
+        # its layout: increasing times in (0, T_END], uniform when pooled
+        assert all(np.all(np.diff(jt) > 0) for jt in real.jump_times)
+        u = np.concatenate(real.jump_times) / self.T_END
+        assert u.min() > 0 and u.max() <= 1
+        assert abs(u.mean() - 1 / 2) <= Z * math.sqrt(1 / 12 / len(u))
+        # the fourth central moment of a uniform is 1/80
+        var_se = math.sqrt((1 / 80 - 1 / 144) / len(u))
+        assert abs(u.var(ddof=1) - 1 / 12) <= Z * var_se
+        # given its jump count, a walk's steps are fair and independent, so
+        # the first and second k of its jumps (k half their number) hold
+        # equal shares of up-steps: their step sums, 2 * ups - k each,
+        # differ by 0 in mean, with variance 2k
+        ks = [len(st) // 2 for st in real.steps]
+        diff = sum(int(st[:k].sum() - st[len(st) - k:].sum())
+                   for st, k in zip(real.steps, ks))
+        assert abs(diff) <= Z * math.sqrt(2 * sum(ks))
 
     def test_off_ring_query_is_an_exact_bridge(self):
         rng = np.random.default_rng(np.random.SeedSequence(6))
