@@ -31,10 +31,10 @@ class FbpError(ProfileError):
     pass
 
 
-# Supports end where the density falls to EDGE_FRAC of the pair's peak
-# (mc_validate's intervals start at EDGE_FRAC of the side's own peak);
-# near-edge lines fit _FIT_CELLS cells ending _FIT_SKIP cells inside the
-# edge; mc_validate checks N_INTERVALS equal-mass intervals per side.
+# Supports end where the density falls to EDGE_FRAC of the pair's peak (the
+# boundaries and mc_validate's intervals alike); near-edge lines fit
+# _FIT_CELLS cells ending _FIT_SKIP cells inside the edge; mc_validate
+# checks N_INTERVALS equal-mass intervals per side.
 EDGE_FRAC = 1e-6
 _FIT_CELLS, _FIT_SKIP = 5, 2
 N_INTERVALS = 10
@@ -106,23 +106,20 @@ def extract_boundaries(times, edges) -> BoundaryCurves:
     return BoundaryCurves(times, U, V)
 
 
-def _edge_window(f: np.ndarray, grid: GridSpec, edge: float) -> np.ndarray:
-    """Nodes (row 0) and samples (row 1) of the _FIT_CELLS cells of f that
-    end _FIT_SKIP cells inside its right edge: a fresh (2, _FIT_CELLS + 1)
-    array, NaN for a NaN edge or when the grid leaves no room for the fit."""
+def _edge_line(f: np.ndarray, grid: GridSpec, edge: float) -> np.ndarray:
+    """(slope, intercept) of the least-squares line through f on the
+    _FIT_CELLS cells that end _FIT_SKIP cells inside its right edge; NaN for
+    a NaN edge or when the grid leaves no room for the fit."""
     hi = -1 if math.isnan(edge) else grid.cell(edge) - _FIT_SKIP
     lo = hi - _FIT_CELLS
     if lo < 0:
-        return np.full((2, _FIT_CELLS + 1), math.nan)
-    return np.stack([grid.node(np.arange(lo, hi + 1)), f[lo:hi + 1]])
-
-
-def _edge_line(window: np.ndarray) -> np.ndarray:
-    """(slope, intercept) of the least-squares line through an
-    `_edge_window`, NaN for a NaN one."""
-    if math.isnan(window[0, 0]):
         return np.full(2, math.nan)
-    return np.polyfit(window[0], window[1], 1)
+    # on equally spaced nodes the slope weighs each sample by its offset c
+    # from the middle node, and the line passes through the window means
+    y = f[lo:hi + 1]
+    c = np.arange(_FIT_CELLS + 1) - _FIT_CELLS / 2
+    slope = (c @ y) / ((c @ c) * grid.h)
+    return np.array([slope, y.mean() - slope * grid.node(lo + _FIT_CELLS / 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +132,10 @@ class FbpSolution:
     step by step.
 
     Every step keeps the bracket width, the unchecked support edges of the
-    lower variant and its near-edge fit windows; whole pairs are kept only
-    at the steps in `kept` (0, the last step and the requested times).  The
+    lower variant and its near-edge lines; whole pairs are kept only at the
+    steps in `kept` (0, the last step and the requested times).  The
     boundaries are a view of the edges; the refined boundaries and the
-    fluxes are views of the edges and of `edge_lines`, each window fit once.
+    fluxes are views of the edges and of `edge_lines`.
     """
 
     # the arrays and profiles are left out of the repr: they run to kilobytes
@@ -152,9 +149,10 @@ class FbpSolution:
     bracket_widths: np.ndarray = field(repr=False)
     # edges[k] = support_edges(minus at step k)
     edges: np.ndarray = field(repr=False)
-    # windows[k, 0] = u's `_edge_window` at U, windows[k, 1] the mirrored
-    # v's at -V, in the lower variant at step k
-    windows: np.ndarray = field(repr=False)
+    # edge_lines[k, 0] = u's `_edge_line` (slope, intercept) at U,
+    # edge_lines[k, 1] the mirrored v's at -V, in the lower variant at step
+    # k; NaN where a line has no room
+    edge_lines: np.ndarray = field(repr=False)
 
     def index_at(self, t: float) -> int:
         """Step of time t, under `macro.step_count`'s tolerance."""
@@ -175,12 +173,6 @@ class FbpSolution:
     def boundaries(self) -> BoundaryCurves:
         """Support edges of the lower-variant profiles."""
         return extract_boundaries(self.times, self.edges)
-
-    @cached_property
-    def edge_lines(self) -> np.ndarray:
-        """edge_lines[k, s] = `_edge_line(windows[k, s])`: slope and
-        intercept, NaN where the window is NaN."""
-        return np.array([[_edge_line(w) for w in ws] for ws in self.windows])
 
     @cached_property
     def refined_boundaries(self) -> BoundaryCurves:
@@ -235,18 +227,18 @@ def solve_reference(initial: ProfilePair, kappa: float, T: float, delta: float,
     kept = sorted(steps)
     widths = np.empty(n + 1)
     edges = np.empty((n + 1, 2))
-    windows = np.empty((n + 1, 2, 2, _FIT_CELLS + 1))
+    lines = np.empty((n + 1, 2, 2))
     minus, plus = [], []
     for k, lo, hi in _lockstep(initial, kappa, n, delta):
         widths[k] = l1_distance_u(lo, hi)
         edges[k] = U, V = support_edges(lo)
-        windows[k] = (_edge_window(lo.u, lo.grid, U),
-                      _edge_window(lo.v[::-1], lo.grid.mirrored(), -V))
+        lines[k] = (_edge_line(lo.u, lo.grid, U),
+                    _edge_line(lo.v[::-1], lo.grid.mirrored(), -V))
         if k in kept:
             minus.append(lo)
             plus.append(hi)
     return FbpSolution(kappa, delta, delta * np.arange(n + 1), kept, minus,
-                       plus, widths, edges, windows)
+                       plus, widths, edges, lines)
 
 
 def reference_profile(initial: ProfilePair, kappa: float, T: float,
@@ -455,20 +447,16 @@ def mc_validate(sol: FbpSolution, t: float, n_paths: int,
     s = t * rng.random(ns)
     xfs, abs_ = simulate_absorbed(bd.V_at(s), s, t, bd.U_at, dt, rng)
 
-    # reference interval masses on the midpoint profile; the intervals carry
-    # equal reference mass so no bin is starved of paths
-    peak = float(np.max(ref.u))
-    r_lo = ref.grid.node(macro.support(ref.u > EDGE_FRAC * peak)[0])
+    # reference interval masses on the midpoint profile, from u's left
+    # support edge to the refined boundary; the intervals carry equal
+    # reference mass so no bin is starved of paths
+    peak = max(float(ref.u.max()), float(ref.v.max()))
+    r_lo = -_right_edge(ref.u[::-1], ref.grid.mirrored(), EDGE_FRAC * peak)
     r_hi = float(bd.U_at(t))
-    nodes = ref.grid.nodes()
-    inside = (nodes > r_lo) & (nodes < r_hi)
-    knots = np.concatenate([[r_lo], nodes[inside], [r_hi]])
-    tails = tail_integral(ref.u, ref.grid, knots)
-    cum = tails[0] - tails
-    cum[-1] = max(cum[-1], cum[-2])
-    levels = cum[-1] * np.arange(N_INTERVALS + 1) / N_INTERVALS
-    edges = np.interp(levels, cum, knots)
-    edges[0], edges[-1] = r_lo, r_hi
+    top, bottom = tail_integral(ref.u, ref.grid, [r_lo, r_hi])
+    levels = top - (top - bottom) * np.arange(1, N_INTERVALS) / N_INTERVALS
+    edges = np.array([r_lo, *(macro.invert_tail(ref.u, ref.grid, m)
+                              for m in levels), r_hi])
     tails = tail_integral(ref.u, ref.grid, edges)
     ref_mass = tails[:-1] - tails[1:]
 

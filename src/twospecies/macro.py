@@ -166,7 +166,7 @@ def tail_curve(f: np.ndarray, grid: GridSpec) -> np.ndarray:
     return np.concatenate([np.cumsum(cell[::-1])[::-1], [0.0]])
 
 
-def _invert_tail(f: np.ndarray, grid: GridSpec, target: float) -> float:
+def invert_tail(f: np.ndarray, grid: GridSpec, target: float) -> float:
     """Solve tail_integral(f, r) = target exactly.
 
     The trapezoid tail is quadratic in r on each cell, so one search over
@@ -203,9 +203,9 @@ def _invert_tail(f: np.ndarray, grid: GridSpec, target: float) -> float:
 
 
 def _invert_head(f: np.ndarray, grid: GridSpec, target: float) -> float:
-    """Mirror of _invert_tail: the leftmost r whose head integral reaches
+    """Mirror of invert_tail: the leftmost r whose head integral reaches
     the target."""
-    return -_invert_tail(f[::-1], grid.mirrored(), target)
+    return -invert_tail(f[::-1], grid.mirrored(), target)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +309,7 @@ def _check_transfer(p: ProfilePair, kappa_delta: float) -> None:
 def cut_points(p: ProfilePair, kappa_delta: float) -> CutPoints:
     """Locations where u's rightmost and v's leftmost `kappa_delta` mass start."""
     _check_transfer(p, kappa_delta)
-    R = _invert_tail(p.u, p.grid, kappa_delta)
+    R = invert_tail(p.u, p.grid, kappa_delta)
     D = _invert_head(p.v, p.grid, kappa_delta)
     return CutPoints(R_delta=R, D_delta=D)
 
@@ -472,7 +472,7 @@ def _repair(p: ProfilePair, m: float, m0: float | None, split_u, split_v
         return p.copy()
     f_head, f_tail = (p.u, p.v) if split_u is split_head else (p.v, p.u)
     H = _invert_head(f_head, p.grid, m)
-    Z = _invert_tail(f_tail, p.grid, m)
+    Z = invert_tail(f_tail, p.grid, m)
     if H >= Z:
         raise RepairError(f"transfer regions overlap: head point {H} >= "
                           f"tail point {Z}")

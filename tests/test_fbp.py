@@ -100,8 +100,8 @@ def right_edge(f, grid, thr):
 
 
 def edge_line(f, grid, edge):
-    """The near-edge line fitted on the whole profile: the oracle for the
-    solve's stored windows."""
+    """The near-edge line fitted by np.polyfit on the whole profile: the
+    oracle for the solve's closed-form lines."""
     hi = int(math.floor((edge - grid.r_min) / grid.h)) - fbp._FIT_SKIP
     lo = hi - fbp._FIT_CELLS
     return np.polyfit(grid.nodes()[lo:hi + 1], f[lo:hi + 1], 1)
@@ -136,17 +136,25 @@ class TestStreamedRecord:
         assert np.array_equal(coarse_sol.bracket_widths, widths)
         bd, refined = coarse_sol.boundaries, coarse_sol.refined_boundaries
         _, fu, fv = fbp.flux_series(coarse_sol, 0.0, 0.1)
+        # the closed-form lines agree with the oracle's to rounding; the
+        # absolute floor covers v's intercept at step 0, about 1e-17
+        close = dict(rtol=1e-12, atol=1e-12)
         for k, p in enumerate(minus):
             thr = fbp.EDGE_FRAC * max(p.u.max(), p.v.max())
             U = right_edge(p.u, p.grid, thr)
             V = -right_edge(p.v[::-1], p.grid.mirrored(), thr)
             assert (bd.U[k], bd.V[k]) == (U, V)
-            assert refined.U[k] == refined_edge(p.u, p.grid, U)
-            assert refined.V[k] == -refined_edge(p.v[::-1], p.grid.mirrored(),
-                                                 -V)
-            assert fu[k] == -0.5 * edge_line(p.u, p.grid, U)[0]
-            assert fv[k] == -0.5 * edge_line(p.v[::-1], p.grid.mirrored(),
-                                             -V)[0]
+            line_u = edge_line(p.u, p.grid, U)
+            line_v = edge_line(p.v[::-1], p.grid.mirrored(), -V)
+            assert np.allclose(coarse_sol.edge_lines[k], [line_u, line_v],
+                               **close)
+            assert np.isclose(refined.U[k], refined_edge(p.u, p.grid, U),
+                              **close)
+            assert np.isclose(refined.V[k],
+                              -refined_edge(p.v[::-1], p.grid.mirrored(), -V),
+                              **close)
+            assert np.isclose(fu[k], -0.5 * line_u[0], **close)
+            assert np.isclose(fv[k], -0.5 * line_v[0], **close)
 
     def test_kept_bytes_do_not_grow_with_the_step_count(self):
         coarse, fine = (fbp.solve_reference(macro.tent_pair(), 0.5, 0.1, d)
@@ -216,8 +224,8 @@ class TestMirror:
 
 def edge_flux(p, edge):
     """Outward flux of u at its right edge through the chain `flux_series`
-    reads: window, fitted line, -slope/2."""
-    line = fbp._edge_line(fbp._edge_window(p.u, p.grid, edge))
+    reads: fitted line, -slope/2."""
+    line = fbp._edge_line(p.u, p.grid, edge)
     return float(fbp._outward_flux(line)[0])
 
 
@@ -256,17 +264,16 @@ class TestRefinedBoundaries:
 
 
 class TestViewEdgeCases:
-    """The views over a record with a missing u window at step 3 and a
+    """The views over a record with a missing u line at step 3 and a
     rising v line at step 7."""
 
     @pytest.fixture(scope="class")
     def edited(self, coarse_sol):
-        windows = coarse_sol.windows.copy()
-        windows[3, 0] = np.nan
-        windows[7, 1, 1] = windows[7, 1, 1, ::-1].copy()
-        assert np.polyfit(*coarse_sol.windows[7, 1], 1)[0] < 0
-        assert np.polyfit(*windows[7, 1], 1)[0] > 0
-        return dataclasses.replace(coarse_sol, windows=windows)
+        lines = coarse_sol.edge_lines.copy()
+        lines[3, 0] = np.nan
+        assert lines[7, 1, 0] < 0
+        lines[7, 1, 0] *= -1
+        return dataclasses.replace(coarse_sol, edge_lines=lines)
 
     def test_refined_edge_falls_back_to_the_raw_edge(self, coarse_sol,
                                                      edited):
@@ -346,6 +353,11 @@ class TestMirrorEquivariance:
             # v's intervals are reported in the original r
             assert iv["r_lo"] == pytest.approx(-iu["r_hi"], abs=1e-12)
             assert iv["r_hi"] == pytest.approx(-iu["r_lo"], abs=1e-12)
+        # v's outer end is its support edge at EDGE_FRAC of the pair's peak
+        ref = sol.profile_at(t)
+        thr = fbp.EDGE_FRAC * max(ref.u.max(), ref.v.max())
+        assert max(iv["r_hi"] for iv in v["intervals"]) == pytest.approx(
+            right_edge(ref.v, ref.grid, thr), abs=1e-12)
 
 
 def reference_simulate_absorbed(starts_x, starts_t, t_end, upper, dt, rng):
@@ -523,8 +535,9 @@ class TestMcValidation:
             assert len(report["intervals"]) == 10
             assert report["max_abs_z"] <= 4.0, report
             assert abs(report["mass"]["z"]) <= 4.0, report
+            # the interior edges are exact equal-mass points of the tail
             refs = [iv["reference"] for iv in report["intervals"]]
-            assert max(refs) <= 1.5 * min(refs)
+            assert np.allclose(refs, np.mean(refs), rtol=1e-12, atol=0)
 
     def test_v_intervals_tile_the_original_r(self, coarse_sol):
         report = fbp.mc_validate(coarse_sol, 0.1, 200,

@@ -189,7 +189,7 @@ def bisect_tail(f, grid, target):
 
 
 class TestInverse:
-    """`_invert_tail` solves the piecewise-quadratic trapezoid tail in
+    """`invert_tail` solves the piecewise-quadratic trapezoid tail in
     closed form; `_invert_head` is its mirror."""
 
     N_PAIRS = 25
@@ -201,7 +201,7 @@ class TestInverse:
             p = random_class_u_pair(rng)
             total = float(macro.tail_curve(p.u, p.grid)[0])
             for target in rng.uniform(0.0, 0.99 * total, size=4):
-                r = macro._invert_tail(p.u, p.grid, target)
+                r = macro.invert_tail(p.u, p.grid, target)
                 assert abs(r - bisect_tail(p.u, p.grid, target)) <= 1e-12
 
     def test_head_inverse_matches_mirrored_bisection(self, rng):
@@ -218,7 +218,7 @@ class TestInverse:
             p = random_class_u_pair(rng)
             total = float(macro.tail_curve(p.u, p.grid)[0])
             for target in [*rng.uniform(0.0, total, size=8), total]:
-                r = macro._invert_tail(p.u, p.grid, target)
+                r = macro.invert_tail(p.u, p.grid, target)
                 assert (abs(macro.tail_integral(p.u, p.grid, r) - target)
                         <= 1e-15 * max(total, 1.0))
 
@@ -241,12 +241,12 @@ class TestInverse:
         f = np.zeros(grid.n_nodes)
         f[3] = 1e-200
         for target in (1e-210, 1e-205, 5e-204):
-            r = macro._invert_tail(f, grid, target)
+            r = macro.invert_tail(f, grid, target)
             assert abs(r - bisect_tail(f, grid, target)) <= 1e-12
 
     def test_zero_target_gives_the_grid_ends(self, rng):
         p = random_class_u_pair(rng)
-        assert macro._invert_tail(p.u, p.grid, 0.0) == p.grid.r_max
+        assert macro.invert_tail(p.u, p.grid, 0.0) == p.grid.r_max
         assert macro._invert_head(p.v, p.grid, 0.0) == p.grid.r_min
 
     def test_out_of_range_target_rejected(self, rng):
@@ -254,7 +254,7 @@ class TestInverse:
         total = float(macro.tail_curve(p.u, p.grid)[0])
         for target in (-1e-12, total * (1.0 + 1e-9)):
             with pytest.raises(ProfileError):
-                macro._invert_tail(p.u, p.grid, target)
+                macro.invert_tail(p.u, p.grid, target)
             with pytest.raises(ProfileError):
                 macro._invert_head(p.u, p.grid, target)
 
