@@ -392,6 +392,12 @@ def main(argv=None) -> int:
     except (ConfigError, macro.ProfileError, lattice.SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # a config too large for this host is a usage error, not a fault
+        detail = f": {exc}" if str(exc) else ""
+        print("error: the config asks for more memory than is available"
+              f"{detail}", file=sys.stderr)
+        return 2
     except Exception:
         # neither a verdict nor a usage error: exit 1 would read as a violation
         traceback.print_exc()

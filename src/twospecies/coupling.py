@@ -449,33 +449,6 @@ class SandwichReport:
         }
 
 
-def _first_meeting(real: PositionRealization, pr: tuple[int, int],
-                   s_lo: float, s_hi: float, x: np.ndarray
-                   ) -> tuple[float, int] | None:
-    """(time, label) of the first jump in (s_lo, s_hi] that puts the members
-    of pair pr on one site, or None.  Jumps are taken in (time, label, step)
-    order; x holds the positions at s_lo."""
-    i, j = pr
-    gap = int(x[i - 1] - x[j - 1])
-    spans = [(lab, *np.searchsorted(real.jump_times[lab - 1], (s_lo, s_hi),
-                                    side="right")) for lab in pr]
-    if sum(hi - lo for _, lo, hi in spans) < gap:
-        return None
-    times = np.concatenate([real.jump_times[lab - 1][lo:hi]
-                            for lab, lo, hi in spans])
-    steps = np.concatenate([real.steps[lab - 1][lo:hi]
-                            for lab, lo, hi in spans])
-    labels = np.repeat(pr, [hi - lo for _, lo, hi in spans])
-    order = np.lexsort((steps, labels, times))
-    # a jump of i moves the gap by its step, a jump of j against it
-    closing = np.where(labels == i, steps, -steps)[order]
-    hit = np.flatnonzero(gap + np.cumsum(closing) == 0)
-    if not len(hit):
-        return None
-    k = order[hit[0]]
-    return float(times[k]), int(labels[k])
-
-
 def couple_block(cs: CoupledState, real: PositionRealization, block: EventLog,
                  t_lo: float, t_hi: float, protocol: str) -> None:
     """Run one block of the two-copy protocol on shared walks.
@@ -488,8 +461,10 @@ def couple_block(cs: CoupledState, real: PositionRealization, block: EventLog,
     batch, so the copy that flips at the ring times keeps its colors.
 
     Between two rings the pairs change only by dissolution, so the walks
-    are read per alive pair and per interval between rings, never jump by
-    jump: the cost is pairs x rings per block.
+    are asked for positions at the block's ring times and ends
+    (`positions_at_many`) and, per alive pair and per interval between
+    rings, for the members' first meeting (`first_meeting`), never read
+    jump by jump: the cost is pairs x rings per block.
 
     cs must hold both copies at t_lo with copy 2 dominated by copy 1, and
     its positions must be the realization at t_lo; it is married by
@@ -513,7 +488,7 @@ def couple_block(cs: CoupledState, real: PositionRealization, block: EventLog,
     for r in range(len(marks) + 1):
         met = []
         for pr in cs.pairs:
-            hit = _first_meeting(real, pr, times[r], times[r + 1], rows[r])
+            hit = real.first_meeting(*pr, times[r], times[r + 1])
             if hit is not None:
                 met.append((hit, pr))
         for _, pr in sorted(met):

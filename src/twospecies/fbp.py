@@ -347,7 +347,7 @@ def simulate_absorbed(starts_x: np.ndarray, starts_t: np.ndarray, t_end: float,
         near = np.flatnonzero(g < near_g)
         crossed = near[u[near - np.searchsorted(hit, near)]
                        < np.exp(-2.0 * g[near] / dt)]
-        hit = np.sort(np.concatenate([hit, crossed]))
+        hit = np.concatenate([hit, crossed])
         if len(hit):
             gone = live[hit]
             x[gone] = x2[hit]

@@ -199,7 +199,11 @@ def _increments(mean_jumps: float, M: int, rng: np.random.Generator
 
 
 class _Walks:
-    """Positions of M independent walks on [0, t_end]."""
+    """Positions of M independent walks on [0, t_end].
+
+    Every walk type answers `positions_at_many`; the stored realization
+    also answers `first_meeting`, the second query `coupling` makes.
+    """
 
     x0: np.ndarray
     t_end: float
@@ -230,8 +234,10 @@ class PositionRealization(_Walks):
     """A stored realization of the independent walks on [0, t_end].
 
     Keeping the whole realization lets the true run and the coupled copies
-    of `coupling` run on identical positions; `coupling` reads the jumps of
-    married pairs between ring times to find where the partners meet.
+    of `coupling` run on identical positions.  `coupling` asks it two
+    queries: positions at given times (`positions_at_many`) and where two
+    walks first meet between two times (`first_meeting`); only this class
+    reads its jump layout.
 
     `sample` draws each walk's up-step and down-step counts over [0, t_end]
     with `_increments`, then lays the jumps out by their exact conditional
@@ -268,6 +274,32 @@ class PositionRealization(_Walks):
             k = np.searchsorted(self.jump_times[i], times, side="right")
             out[:, i] = self.paths[i][k]
         return out
+
+    def first_meeting(self, i: int, j: int, s_lo: float, s_hi: float
+                      ) -> tuple[float, int] | None:
+        """(time, label) of the first jump in (s_lo, s_hi] that puts walks
+        i and j (labels, walk i right of walk j at s_lo) on one site, or
+        None.  Jumps are taken in (time, label, step) order."""
+        spans = [(lab, *np.searchsorted(self.jump_times[lab - 1],
+                                        (s_lo, s_hi), side="right"))
+                 for lab in (i, j)]
+        (_, lo_i, _), (_, lo_j, _) = spans
+        gap = int(self.paths[i - 1][lo_i] - self.paths[j - 1][lo_j])
+        if sum(hi - lo for _, lo, hi in spans) < gap:
+            return None
+        times = np.concatenate([self.jump_times[lab - 1][lo:hi]
+                                for lab, lo, hi in spans])
+        steps = np.concatenate([self.steps[lab - 1][lo:hi]
+                                for lab, lo, hi in spans])
+        labels = np.repeat((i, j), [hi - lo for _, lo, hi in spans])
+        order = np.lexsort((steps, labels, times))
+        # a jump of i moves the gap by its step, a jump of j against it
+        closing = np.where(labels == i, steps, -steps)[order]
+        hit = np.flatnonzero(gap + np.cumsum(closing) == 0)
+        if not len(hit):
+            return None
+        k = order[hit[0]]
+        return float(times[k]), int(labels[k])
 
 
 class StreamedWalks(_Walks):
@@ -414,7 +446,6 @@ class TrueTrajectory:
         if t < 0 or t > self.t_end + 1e-9:
             raise SimulationError(f"query time {t} outside [0, {self.t_end}]")
         k = int(np.searchsorted(self.log.times, min(t, self.t_end), side="right"))
-        k = min(k, len(self._colors_after) - 1)
         return ParticleState(self.realization.positions_at(t),
                              self._colors_after[k].copy(), time=t)
 

@@ -395,8 +395,6 @@ def gauss_convolve(p: ProfilePair, t: float) -> ProfilePair:
     v_ext, _ = gauss_convolve_samples(p.v, p.grid, t)
     radius = grid_ext.n_cells - p.grid.n_cells
     lo_limit, hi_limit = radius // 2, radius // 2 + p.grid.n_cells
-    np.maximum(u_ext, 0.0, out=u_ext)
-    np.maximum(v_ext, 0.0, out=v_ext)
     u2, v2, grid2 = _trim(u_ext, v_ext, grid_ext, lo_limit, hi_limit)
     return ProfilePair(grid2, u2, v2)
 

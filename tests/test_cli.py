@@ -303,6 +303,24 @@ class TestReplicaFailures:
         assert "RuntimeError: walks broke" in capsys.readouterr().err
         assert not process_left_running()
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("command, cfg", [
+        # 1e12 particles: sample_initial's site array alone needs 40 TiB
+        ("simulate", dict(SIM_CFG, epsilon=1e-12)),
+        # the exhaustive enumeration's site tuple cannot be allocated
+        ("couple-verify", {"exhaustive": {"max_particles": 2,
+                                          "n_sites": 2**62, "max_marks": 2}}),
+    ])
+    def test_exhausted_memory_exits_2(self, tmp_path, capsys, four_cpus,
+                                      command, cfg, threads):
+        code, _ = run(tmp_path, command, cfg, "--seeds", "2",
+                      "--threads", threads)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: the config asks for more memory")
+        assert "Traceback" not in err
+        assert not process_left_running()
+
     @pytest.mark.parametrize("outcome", ["annihilated", "simulation error",
                                          "unexpected error"])
     def test_hydro_compare_fails_alike_at_two_threads(self, tmp_path, capsys,

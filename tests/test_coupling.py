@@ -609,13 +609,44 @@ class TestCoupleBlock:
         assert report.ok
         assert blocks.count("early") == blocks.count("late") >= 40
 
+    def test_reads_walks_only_through_the_two_queries(self, monkeypatch):
+        class QueriesOnly:
+            """Walks that answer only positions_at_many and first_meeting,
+            from a stored realization; any other read raises."""
+            __slots__ = ("_real",)
+
+            def __init__(self, real):
+                self._real = real
+
+            def positions_at_many(self, times):
+                return self._real.positions_at_many(times)
+
+            def first_meeting(self, i, j, s_lo, s_hi):
+                hit = self._real.first_meeting(i, j, s_lo, s_hi)
+                meetings.append(hit is not None)
+                return hit
+
+        fast = coupling.couple_block
+        meetings = []
+
+        def both(cs, real, block, t_lo, t_hi, protocol):
+            args = (block, t_lo, t_hi, protocol)
+            assert (block_outcome(fast, cs, QueriesOnly(real), *args)
+                    == block_outcome(fast, cs, real, *args))
+            return fast(cs, real, *args)
+
+        monkeypatch.setattr(coupling, "couple_block", both)
+        cfg = lattice.SimConfig(epsilon=0.1, kappa=1.0, horizon_T=1.0, seed=5)
+        report = coupling.verify_sandwich(cfg, macro.tent_pair(), 0.25, 5)
+        assert report.ok
+        assert sum(meetings) >= 5
+
     def test_pair_dissolves_once_at_its_first_meeting(self, monkeypatch):
         # label 2 meets label 1 at t=1, crosses it, meets it again at t=3
         # and ends right of it, all between two rings
         real = frozen_walks([1, 0], [[], [(1.0, 1), (2.0, 1), (3.0, -1),
                                           (3.5, 1)]], 4.0)
-        assert coupling._first_meeting(real, (1, 2), 0.0, 4.0,
-                                       real.x0) == (1.0, 2)
+        assert real.first_meeting(1, 2, 0.0, 4.0) == (1.0, 2)
         dissolved = []
         dissolve = coupling._dissolve_pair
 

@@ -267,6 +267,74 @@ class TestWalks:
             lattice.evolve_positions(ps, 0.0, 2.0, rng)
 
 
+def meeting_replay(real, i, j, s_lo, s_hi):
+    """The oracle of `first_meeting`: replay the jumps of walks i and j in
+    (s_lo, s_hi] in (time, label, step) order from their positions at s_lo,
+    stopping at the first jump that puts them on one site."""
+    x = dict(zip((i, j), real.positions_at(s_lo)[[i - 1, j - 1]].tolist()))
+    jumps = sorted((t, lab, st) for lab in (i, j)
+                   for t, st in zip(real.jump_times[lab - 1].tolist(),
+                                    real.steps[lab - 1].tolist())
+                   if s_lo < t <= s_hi)
+    for t, lab, st in jumps:
+        x[lab] += st
+        if x[i] == x[j]:
+            return t, lab
+    return None
+
+
+def ordered_pairs(x):
+    """Labels (i, j) of every walk i strictly right of a walk j at x."""
+    labels = range(1, len(x) + 1)
+    return [(i, j) for i in labels for j in labels if x[i - 1] > x[j - 1]]
+
+
+class TestFirstMeeting:
+    def test_matches_the_jump_by_jump_replay(self, rng):
+        met = 0
+        for _ in range(300):
+            M = int(rng.integers(2, 6))
+            real = PositionRealization.sample(rng.integers(0, 5, size=M),
+                                              10.0, rng)
+            # window ends on jump times often, so both boundary rules bite
+            jt = np.concatenate([[0.0, 10.0], *real.jump_times])
+            s_lo, s_hi = np.sort(np.where(rng.random(2) < 0.5,
+                                          rng.choice(jt, 2),
+                                          rng.uniform(0.0, 10.0, 2)))
+            for i, j in ordered_pairs(real.positions_at(s_lo)):
+                want = meeting_replay(real, i, j, s_lo, s_hi)
+                assert real.first_meeting(i, j, s_lo, s_hi) == want
+                met += want is not None
+        assert met >= 100
+
+    def test_a_jump_at_s_hi_counts_and_one_at_s_lo_does_not(self):
+        # walk 2 steps from 0 to 1 at t=1 and onto walk 1's site 2 at t=2
+        real = PositionRealization(np.array([2, 0]),
+                                   [np.array([]), np.array([1.0, 2.0])],
+                                   [np.array([], dtype=np.int64),
+                                    np.array([1, 1])], 3.0)
+        assert real.first_meeting(1, 2, 0.0, 2.0) == (2.0, 2)
+        assert real.first_meeting(1, 2, 0.0, 1.5) is None
+        # the jump at s_lo is in the start gap, not replayed
+        assert real.first_meeting(1, 2, 1.0, 2.0) == (2.0, 2)
+
+    def test_commutes_with_the_mirror(self, rng):
+        # x -> -x puts walk j right of walk i on the same jump times
+        met = 0
+        for _ in range(100):
+            M = int(rng.integers(2, 6))
+            real = PositionRealization.sample(rng.integers(-3, 4, size=M),
+                                              8.0, rng)
+            mirror = PositionRealization(-real.x0, real.jump_times,
+                                         [-s for s in real.steps], 8.0)
+            s_lo, s_hi = np.sort(rng.uniform(0.0, 8.0, 2))
+            for i, j in ordered_pairs(real.positions_at(s_lo)):
+                hit = real.first_meeting(i, j, s_lo, s_hi)
+                assert mirror.first_meeting(j, i, s_lo, s_hi) == hit
+                met += hit is not None
+        assert met >= 30
+
+
 def skellam_pmf(k: int, mean_jumps: float) -> float:
     """P(X = k) = e^-t I_k(t), t = mean_jumps, for the displacement X of a
     walk making Poisson(t) jumps of +-1: Poisson(t/2) up-steps minus an
