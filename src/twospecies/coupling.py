@@ -520,7 +520,12 @@ def _sandwich_seed(cfg: SimConfig, profile: ProfilePair, K: int,
     h_a0 = int(np.sum(ps0.colors == A))
     if not in_X(h_a0, ps0.M, log, t_end):
         return True, [], 0
-    real = PositionRealization.sample(ps0.positions, t_end, rng_walk)
+    # every time the seed asks the walks for: the ring times (the true run
+    # and the blocks) and the block ends
+    n = int(np.searchsorted(log.times, t_end, side="right"))
+    real = PositionRealization.sample(
+        ps0.positions, t_end, rng_walk,
+        times=np.concatenate([log.times[:n], block_len * np.arange(K + 1)]))
     traj = run_true(ps0, log, t_end, realization=real)
     counts_mismatch = 0
     violations: list[str] = []

@@ -19,13 +19,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .macro import GridSpec, ProfilePair, validate_class_U
+from .macro import GridSpec, ProfilePair, sorted_unique, validate_class_U
 
 A, B = 0, 1
 RIGHT, LEFT = 0, 1
 COLORS = ("a", "b")
 MARKS = ("right", "left")
 _MASKED_KEY = np.iinfo(np.int64).min
+# numpy refuses an array of 8-byte entries whose byte count passes intp
+_MAX_ENTRIES = np.iinfo(np.intp).max // 8
 
 
 class SimulationError(ValueError):
@@ -143,13 +145,19 @@ def sample_initial(profile: ProfilePair, cfg: SimConfig,
     u(eps*x) + v(eps*x) and independent colors a w.p. u/(u+v)."""
     check_class_U(profile)
     eps = cfg.epsilon
-    M = int(np.floor(profile.total_mass / eps))
-    if M < 1:
+    n_particles = np.floor(profile.total_mass / eps)
+    if n_particles < 1:
         raise SimulationError("zero particles: epsilon too large for the total mass")
-
-    x_lo = int(np.floor(profile.grid.r_min / eps))
-    x_hi = int(np.ceil(profile.grid.r_max / eps))
-    sites = np.arange(x_lo, x_hi + 1)
+    x_lo = np.floor(profile.grid.r_min / eps)
+    x_hi = np.ceil(profile.grid.r_max / eps)
+    n_sites = x_hi - x_lo + 1
+    # checked as floats, before any cast: at tiny epsilon they may be inf
+    if not (n_particles <= _MAX_ENTRIES and n_sites <= _MAX_ENTRIES):
+        raise SimulationError(
+            f"epsilon {eps:g} asks for {n_particles:.3g} particles on "
+            f"{n_sites:.3g} sites, more than an array can hold")
+    M = int(n_particles)
+    sites = np.arange(int(x_lo), int(x_hi) + 1)
     r = eps * sites
     nodes = profile.grid.nodes()
     u_site = np.interp(r, nodes, profile.u, left=0.0, right=0.0)
@@ -199,14 +207,22 @@ def _increments(mean_jumps: float, M: int, rng: np.random.Generator
 
 
 class _Walks:
-    """Positions of M independent walks on [0, t_end].
+    """Positions of M independent walks on [0, t_end], kept at known times.
 
-    Every walk type answers `positions_at_many`; the stored realization
-    also answers `first_meeting`, the second query `coupling` makes.
+    Every walk type keeps a table of its known times: `_times`, sorted, and
+    at each of them every walk's position (`_positions`) and the jumps it
+    has made on [0, t] (`_jumps`), one row per time.  `positions_at_many`
+    reads a known time's row; an unknown time gets its row once, from
+    `_rows_at`, and becomes a known time, so a repeated query returns the
+    same positions.  The stored realization also answers `first_meeting`,
+    the second query `coupling` makes.
     """
 
     x0: np.ndarray
     t_end: float
+    _times: np.ndarray
+    _positions: np.ndarray
+    _jumps: np.ndarray
 
     @property
     def M(self) -> int:
@@ -227,6 +243,32 @@ class _Walks:
 
     def positions_at_many(self, times) -> np.ndarray:
         """Positions at each of `times`: row j holds the time times[j]."""
+        rows = self._rows(times)  # before reading the table it may grow
+        return self._positions[rows]
+
+    def _rows(self, times) -> np.ndarray:
+        """The table row of each of `times`; the unknown ones get theirs
+        first, all at once, in ascending order."""
+        times = np.asarray(times, dtype=float)
+        rows = np.searchsorted(self._times, times)
+        # a known time's right insertion point is past its left one; known
+        # times were checked when they were added
+        if (np.searchsorted(self._times, times, side="right") > rows).all():
+            return rows
+        times = self._query_times(times)
+        new = sorted_unique(times)
+        at = np.searchsorted(self._times, new)
+        unknown = np.searchsorted(self._times, new, side="right") == at
+        new, at = new[unknown], at[unknown]
+        positions, jumps = self._rows_at(new)
+        self._times = np.insert(self._times, at, new)
+        self._positions = np.insert(self._positions, at, positions, axis=0)
+        self._jumps = np.insert(self._jumps, at, jumps, axis=0)
+        return np.searchsorted(self._times, times)
+
+    def _rows_at(self, new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Positions and jump counts at the unknown times `new` (sorted,
+        distinct), one row per time."""
         raise NotImplementedError
 
 
@@ -237,12 +279,15 @@ class PositionRealization(_Walks):
     of `coupling` run on identical positions.  `coupling` asks it two
     queries: positions at given times (`positions_at_many`) and where two
     walks first meet between two times (`first_meeting`); only this class
-    reads its jump layout.
+    reads its jump layout: `first_meeting` for the jumps between its two
+    times, and the table for a time it does not know.
 
     `sample` draws each walk's up-step and down-step counts over [0, t_end]
     with `_increments`, then lays the jumps out by their exact conditional
     law, one walk at a time: the n jump times are n sorted uniforms on
     (0, t_end], and the up-steps a uniformly random subset of ups of them.
+    It then makes `times` known times, with one `searchsorted` per walk; a
+    realization built by hand knows no time until it is asked one.
     """
 
     def __init__(self, x0: np.ndarray, jump_times: list[np.ndarray],
@@ -256,42 +301,48 @@ class PositionRealization(_Walks):
             np.concatenate([[self.x0[i]], self.x0[i] + np.cumsum(steps[i])])
             for i in range(len(self.x0))
         ]
+        self._times = np.empty(0)
+        self._positions = np.empty((0, self.M), dtype=np.int64)
+        self._jumps = np.empty((0, self.M), dtype=np.int64)
 
     @classmethod
-    def sample(cls, x0: np.ndarray, t_end: float,
-               rng: np.random.Generator) -> "PositionRealization":
+    def sample(cls, x0: np.ndarray, t_end: float, rng: np.random.Generator,
+               times=()) -> "PositionRealization":
         n, ups = _increments(t_end, len(x0), rng)
         jump_times, steps = [], []
         for k, u in zip(n.tolist(), ups.tolist()):
             jump_times.append(np.sort(t_end - t_end * rng.random(k)))
             steps.append(np.where(rng.permutation(k) < u, 1, -1))
-        return cls(x0, jump_times, steps, t_end)
+        real = cls(x0, jump_times, steps, t_end)
+        real._rows(times)
+        return real
 
-    def positions_at_many(self, times) -> np.ndarray:
-        times = self._query_times(times)
-        out = np.empty((len(times), self.M), dtype=np.int64)
+    def _rows_at(self, new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # jumps at or before t: a jump at exactly t has been made
+        jumps = np.empty((self.M, len(new)), dtype=np.int64)
+        positions = np.empty_like(jumps)
         for i in range(self.M):
-            k = np.searchsorted(self.jump_times[i], times, side="right")
-            out[:, i] = self.paths[i][k]
-        return out
+            jumps[i] = np.searchsorted(self.jump_times[i], new, side="right")
+            positions[i] = self.paths[i][jumps[i]]
+        return positions.T, jumps.T
 
     def first_meeting(self, i: int, j: int, s_lo: float, s_hi: float
                       ) -> tuple[float, int] | None:
         """(time, label) of the first jump in (s_lo, s_hi] that puts walks
         i and j (labels, walk i right of walk j at s_lo) on one site, or
         None.  Jumps are taken in (time, label, step) order."""
-        spans = [(lab, *np.searchsorted(self.jump_times[lab - 1],
-                                        (s_lo, s_hi), side="right"))
+        lo, hi = self._rows((s_lo, s_hi)).tolist()
+        x, n_lo, n_hi = self._positions[lo], self._jumps[lo], self._jumps[hi]
+        gap = x.item(i - 1) - x.item(j - 1)
+        spans = [(lab, n_lo.item(lab - 1), n_hi.item(lab - 1))
                  for lab in (i, j)]
-        (_, lo_i, _), (_, lo_j, _) = spans
-        gap = int(self.paths[i - 1][lo_i] - self.paths[j - 1][lo_j])
-        if sum(hi - lo for _, lo, hi in spans) < gap:
+        if sum(b - a for _, a, b in spans) < gap:
             return None
-        times = np.concatenate([self.jump_times[lab - 1][lo:hi]
-                                for lab, lo, hi in spans])
-        steps = np.concatenate([self.steps[lab - 1][lo:hi]
-                                for lab, lo, hi in spans])
-        labels = np.repeat((i, j), [hi - lo for _, lo, hi in spans])
+        times = np.concatenate([self.jump_times[lab - 1][a:b]
+                                for lab, a, b in spans])
+        steps = np.concatenate([self.steps[lab - 1][a:b]
+                                for lab, a, b in spans])
+        labels = np.repeat((i, j), [b - a for _, a, b in spans])
         order = np.lexsort((steps, labels, times))
         # a jump of i moves the gap by its step, a jump of j against it
         closing = np.where(labels == i, steps, -steps)[order]
@@ -309,26 +360,25 @@ class StreamedWalks(_Walks):
     dt a particle makes Poisson(dt / 2) up-steps and, independently,
     Poisson(dt / 2) down-steps (`_increments`).  The gaps between 0,
     `times` and t_end are drawn this way from `rng` at construction, and
-    each walk's position and jump count are kept at each of these known
-    times, so memory and work are O(M * len(times)), not O(M * t_end).
+    these are the known times of the table, so memory and work are
+    O(M * len(times)), not O(M * t_end).
 
-    A query strictly inside a gap draws from the exact bridge between its
-    known neighbours: given the gap's up-steps and down-steps, each step
-    falls before it independently with probability f (f the fraction of
-    the gap before it), so Binomial(ups, f) up-steps and Binomial(downs, f)
-    down-steps precede it.  The query then becomes a known time, so a repeated
-    query returns the same positions and a later one in the same gap
-    bridges between its nearest known neighbours.  Bridge draws come from
-    a child stream taken from `rng` at construction; `rng` itself is not
-    touched again.
+    An unknown time strictly inside a gap draws from the exact bridge
+    between its known neighbours: given the gap's up-steps and down-steps,
+    each step falls before it independently with probability f (f the
+    fraction of the gap before it), so Binomial(ups, f) up-steps and
+    Binomial(downs, f) down-steps precede it.  Unknown times are bridged in
+    ascending order, each between the known times and those bridged before
+    it.  Bridge draws come from a child stream taken from `rng` at
+    construction; `rng` itself is not touched again.
     """
 
     def __init__(self, x0: np.ndarray, t_end: float, rng: np.random.Generator,
                  times):
         self.x0 = np.asarray(x0, dtype=np.int64)
         self.t_end = float(t_end)
-        self._times = np.union1d(self._query_times(times), [0.0, self.t_end])
-        # row k: positions, and jumps made on [0, _times[k]]
+        self._times = sorted_unique(np.concatenate(
+            [self._query_times(times), [0.0, self.t_end]]))
         self._positions = np.empty((len(self._times), self.M), dtype=np.int64)
         self._jumps = np.zeros_like(self._positions)
         self._positions[0] = self.x0
@@ -338,28 +388,26 @@ class StreamedWalks(_Walks):
             self._jumps[k + 1] = self._jumps[k] + n
         self._bridge_rng = np.random.default_rng(rng.integers(2**63))
 
-    def positions_at_many(self, times) -> np.ndarray:
-        times = self._query_times(times)
-        for t in np.setdiff1d(times, self._times):
-            self._bridge(t)
-        return self._positions[np.searchsorted(self._times, times)]
-
-    def _bridge(self, t: float) -> None:
-        """Make t, strictly between two known times, a known time."""
-        k = int(np.searchsorted(self._times, t))
-        t_lo, t_hi = self._times[k - 1], self._times[k]
-        n = self._jumps[k] - self._jumps[k - 1]
-        ups = (n + self._positions[k] - self._positions[k - 1]) // 2
-        f = (t - t_lo) / (t_hi - t_lo)
-        ups_before = self._bridge_rng.binomial(ups, f)
-        downs_before = self._bridge_rng.binomial(n - ups, f)
-        self._times = np.insert(self._times, k, t)
-        self._positions = np.insert(
-            self._positions, k,
-            self._positions[k - 1] + ups_before - downs_before, axis=0)
-        self._jumps = np.insert(self._jumps, k,
-                                self._jumps[k - 1] + ups_before + downs_before,
-                                axis=0)
+    def _rows_at(self, new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        positions = np.empty((len(new), self.M), dtype=np.int64)
+        jumps = np.empty_like(positions)
+        k_lo = 0  # every unknown time lies after the known time 0
+        for r, (t, k) in enumerate(zip(new.tolist(), np.searchsorted(
+                self._times, new).tolist())):
+            if k != k_lo:
+                # the first unknown time in its gap bridges from the gap start
+                t_lo, x_lo, n_lo = (self._times[k - 1], self._positions[k - 1],
+                                    self._jumps[k - 1])
+            t_hi, x_hi, n_hi = self._times[k], self._positions[k], self._jumps[k]
+            n = n_hi - n_lo
+            ups = (n + x_hi - x_lo) // 2
+            f = (t - t_lo) / (t_hi - t_lo)
+            ups_before = self._bridge_rng.binomial(ups, f)
+            downs_before = self._bridge_rng.binomial(n - ups, f)
+            positions[r] = x_lo + ups_before - downs_before
+            jumps[r] = n_lo + ups_before + downs_before
+            t_lo, x_lo, n_lo, k_lo = t, positions[r], jumps[r], k
+        return positions, jumps
 
 
 def evolve_positions(ps: ParticleState, t0: float, t1: float,

@@ -437,11 +437,15 @@ def iterate_barriers(p0: ProfilePair, delta: float, kappa: float, n: int,
 # order relation
 
 
+def sorted_unique(values) -> np.ndarray:
+    """The distinct values, sorted (`np.unique` imports `numpy.ma`)."""
+    vs = np.sort(np.ravel(values))
+    return vs[np.append(True, vs[1:] != vs[:-1])] if len(vs) else vs
+
+
 def order_gap(p1: ProfilePair, p2: ProfilePair) -> tuple[float, float]:
     """sup_r [F(r; u1) - F(r; u2)] over the union node set, with its argmax."""
-    # sorted and deduplicated by hand: np.union1d imports numpy.ma
-    rs = np.sort(np.concatenate([p1.grid.nodes(), p2.grid.nodes()]))
-    rs = rs[np.append(True, rs[1:] != rs[:-1])]
+    rs = sorted_unique(np.concatenate([p1.grid.nodes(), p2.grid.nodes()]))
     f1 = np.asarray(tail_integral(p1.u, p1.grid, rs))
     f2 = np.asarray(tail_integral(p2.u, p2.grid, rs))
     gaps = f1 - f2

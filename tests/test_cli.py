@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 from conftest import process_left_running
+from test_golden_reports import CASES
 
 from twospecies import cli, coupling, lattice, macro
 from twospecies.cli import main
@@ -233,19 +234,26 @@ class TestFbp:
 
 
 class TestImports:
-    def test_barrier_work_leaves_numpy_ma_unimported(self, tmp_path):
-        # np.union1d imports numpy.ma, about 0.8 MB of resident memory
-        runs = [[cmd, "--config", write_cfg(tmp_path, f"{cmd}.json", cfg),
-                 "--out", str(tmp_path / f"out_{cmd}")] for cmd, cfg in (
-            ("barriers", {"kappa": 0.5, "delta": 0.02, "horizon_T": 0.1}),
-            ("fbp", {"kappa": 0.5, "delta": 0.01, "horizon_T": 0.1}))]
+    def test_benched_subcommands_leave_numpy_ma_unimported(self, tmp_path):
+        # np.unique, np.union1d and np.setdiff1d import numpy.ma, about 1 MB
+        # of resident memory; simulate is left out, its occupation CSV
+        # counts sites with np.unique
+        runs = []
+        for name, (command, cfg, seeds) in CASES.items():
+            if command != "simulate":
+                runs.append([command, "--config",
+                             write_cfg(tmp_path, f"{name}.json", cfg),
+                             "--out", str(tmp_path / name),
+                             "--seeds", str(seeds)])
+        assert {argv[0] for argv in runs} == {"barriers", "fbp",
+                                              "hydro-compare", "couple-verify"}
         script = f"""
 import sys
 from twospecies import cli, fbp, macro
 sol = fbp.solve_reference(macro.tent_pair(), 0.5, 0.1, 0.01)
 macro.order_gap(sol.minus[-1], sol.plus[-1])
 for argv in {runs!r}:
-    assert cli.main(argv) == 0
+    assert cli.main(argv) == 0, argv
 print("numpy.ma" in sys.modules)
 """
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -255,7 +263,6 @@ print("numpy.ma" in sys.modules)
                               env=os.environ | {"PYTHONPATH": path})
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "False"
-
 
     def test_cli_import_leaves_the_process_pool_unimported(self):
         # the fan-out forks directly and needs neither: they cost tens of ms
@@ -318,6 +325,18 @@ class TestReplicaFailures:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: the config asks for more memory")
+        assert "Traceback" not in err
+        assert not process_left_running()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_more_sites_than_an_array_holds_exits_2(self, tmp_path, capsys,
+                                                    four_cpus, threads):
+        # about 5e300 sites: numpy would refuse the site array's size
+        code, _ = run(tmp_path, "simulate", dict(SIM_CFG, epsilon=1e-300),
+                      "--seeds", "2", "--threads", threads)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: epsilon 1e-300 asks for")
         assert "Traceback" not in err
         assert not process_left_running()
 

@@ -746,6 +746,41 @@ class TestSandwich:
         with pytest.raises(macro.ProfileError):
             coupling.verify_sandwich(cfg, macro.tent_pair(), delta, 1)
 
+    def test_each_checked_seed_searches_its_walks_once(self, monkeypatch):
+        # a seed hands `sample` every time it will ask about, so its table
+        # answers the true run and both copies: one searchsorted per walk
+        # while sampling, and none after
+        Real = lattice.PositionRealization
+        search, sample, rows_at = np.searchsorted, Real.sample, Real._rows_at
+        walks, reals, sampling = set(), [], []
+        searches = {"sample": 0, "later": 0}
+
+        def counting(a, *args, **kwargs):
+            if id(a) in walks:
+                searches["sample" if sampling else "later"] += 1
+            return search(a, *args, **kwargs)
+
+        def registering(self, new):
+            walks.update(map(id, self.jump_times))
+            return rows_at(self, new)
+
+        def sampled(*args, **kwargs):
+            sampling.append(True)
+            try:
+                reals.append(sample(*args, **kwargs))
+            finally:
+                sampling.clear()
+            return reals[-1]
+
+        monkeypatch.setattr(np, "searchsorted", counting)
+        monkeypatch.setattr(Real, "_rows_at", registering)
+        monkeypatch.setattr(Real, "sample", sampled)
+        cfg = lattice.SimConfig(epsilon=0.05, kappa=1.0, horizon_T=1.0, seed=5)
+        report = coupling.verify_sandwich(cfg, macro.tent_pair(), 0.2, 5)
+        assert report.ok
+        assert len(reals) == 5 - report.n_excluded > 0
+        assert searches == {"sample": sum(r.M for r in reals), "later": 0}
+
     def test_report_serializes(self):
         cfg = lattice.SimConfig(epsilon=0.1, kappa=1.0, horizon_T=0.25, seed=9)
         report = coupling.verify_sandwich(cfg, macro.tent_pair(), 0.25, 3)

@@ -289,18 +289,88 @@ def ordered_pairs(x):
     return [(i, j) for i in labels for j in labels if x[i - 1] > x[j - 1]]
 
 
+def twin_generators(rng):
+    """Two generators in one state, seeded from `rng`."""
+    seed = int(rng.integers(2**63))
+    return (np.random.default_rng(seed) for _ in range(2))
+
+
+def layout_positions(real, times):
+    """The oracle of `positions_at_many`: a searchsorted of each walk's jump
+    times at `times`, read off its path."""
+    return np.array([[path[np.searchsorted(jt, t, side="right")]
+                      for t in times]
+                     for jt, path in zip(real.jump_times, real.paths)]
+                    ).reshape(real.M, len(times)).T
+
+
+class TestKnownTimes:
+    def test_queries_match_the_per_walk_search(self, rng):
+        for _ in range(60):
+            M, t_end = int(rng.integers(1, 7)), float(rng.uniform(0.5, 15.0))
+            x0 = rng.integers(-4, 5, size=M)
+            g1, g2 = twin_generators(rng)
+            plain = PositionRealization.sample(x0, t_end, g1)
+            # known times: some on jump times, with repeats, 0 and t_end
+            jt = np.concatenate([[0.0, t_end], *plain.jump_times])
+            known = np.where(rng.random(8) < 0.5, rng.choice(jt, 8),
+                             rng.uniform(0.0, t_end, 8))
+            real = PositionRealization.sample(x0, t_end, g2, times=known)
+            # the times draw nothing: the same walks, the same stream after
+            assert g1.bit_generator.state == g2.bit_generator.state
+            for a, b in zip(real.jump_times + real.steps,
+                            plain.jump_times + plain.steps):
+                assert np.array_equal(a, b)
+            assert list(real._times) == sorted(set(known.tolist()))
+            unknown = rng.uniform(0.0, t_end, 5)
+            mixed = rng.permutation(np.concatenate([known[:4], unknown[:3]]))
+            for times in (known, unknown, mixed, []):
+                assert np.array_equal(real.positions_at_many(times),
+                                      layout_positions(real, times))
+                assert np.array_equal(plain.positions_at_many(times),
+                                      layout_positions(plain, times))
+            # an unknown time asked again reads the row it got the first time
+            n_known = len(real._times)
+            again = real.positions_at_many(unknown[::-1])
+            assert np.array_equal(again, layout_positions(real, unknown[::-1]))
+            assert len(real._times) == n_known
+
+    def test_a_hand_built_realization_knows_no_time_until_asked(self):
+        # walk 1 never jumps; walk 2 steps up at t=1 and t=2, down at t=3
+        real = PositionRealization(np.array([5, 0]),
+                                   [np.array([]), np.array([1.0, 2.0, 3.0])],
+                                   [np.array([], dtype=np.int64),
+                                    np.array([1, 1, -1])], 4.0)
+        assert len(real._times) == 0
+        assert real.positions_at_many([2.5, 0.0, 1.0, 4.0]).tolist() == [
+            [5, 2], [5, 0], [5, 1], [5, 1]]
+        assert list(real._times) == [0.0, 1.0, 2.5, 4.0]
+        assert real._jumps[:, 1].tolist() == [0, 1, 2, 3]
+        assert real.first_meeting(1, 2, 0.0, 4.0) is None
+        assert real.positions_at(3.0).tolist() == [5, 1]
+
+
 class TestFirstMeeting:
     def test_matches_the_jump_by_jump_replay(self, rng):
         met = 0
-        for _ in range(300):
+        for n in range(300):
             M = int(rng.integers(2, 6))
-            real = PositionRealization.sample(rng.integers(0, 5, size=M),
-                                              10.0, rng)
-            # window ends on jump times often, so both boundary rules bite
+            x0 = rng.integers(0, 5, size=M)
+            # half the realizations know times, some on their jump times,
+            # and take the window ends from those; the others know none
+            g1, g2 = twin_generators(rng)
+            real = PositionRealization.sample(x0, 10.0, g1)
             jt = np.concatenate([[0.0, 10.0], *real.jump_times])
-            s_lo, s_hi = np.sort(np.where(rng.random(2) < 0.5,
-                                          rng.choice(jt, 2),
-                                          rng.uniform(0.0, 10.0, 2)))
+            if n % 2:
+                known = np.where(rng.random(6) < 0.5, rng.choice(jt, 6),
+                                 rng.uniform(0.0, 10.0, 6))
+                real = PositionRealization.sample(x0, 10.0, g2, times=known)
+                s_lo, s_hi = np.sort(rng.choice(known, 2))
+            else:
+                # window ends on jump times often, so both boundary rules bite
+                s_lo, s_hi = np.sort(np.where(rng.random(2) < 0.5,
+                                              rng.choice(jt, 2),
+                                              rng.uniform(0.0, 10.0, 2)))
             for i, j in ordered_pairs(real.positions_at(s_lo)):
                 want = meeting_replay(real, i, j, s_lo, s_hi)
                 assert real.first_meeting(i, j, s_lo, s_hi) == want
@@ -466,6 +536,21 @@ class TestStreamedWalks:
         assert np.all((steps - jumps) % 2 == 0)
         # bridge draws come from a child stream, not from the caller's rng
         assert rng.bit_generator.state == rng_state
+
+    def test_unknown_times_of_one_query_bridge_in_ascending_order(self):
+        # several unknown times in one gap, asked together, draw what they
+        # draw when asked one at a time from the earliest
+        a, b = self.walks(4, [9.0]), self.walks(4, [9.0])
+        times = [7.0, 2.0, 5.0, 11.0, 3.5, 5.0]
+        together = a.positions_at_many(times)
+        alone = {t: b.positions_at(t) for t in sorted(set(times))}
+        for t, row in zip(times, together):
+            assert np.array_equal(row, alone[t])
+        assert np.array_equal(a._jumps, b._jumps)
+        steps = np.diff(a._positions, axis=0)
+        jumps = np.diff(a._jumps, axis=0)
+        assert np.all(np.abs(steps) <= jumps)
+        assert np.all((steps - jumps) % 2 == 0)
 
     def test_bridge_draws_are_deterministic_per_seed(self):
         a, b = self.walks(7, [4.5]), self.walks(7, [4.5])
